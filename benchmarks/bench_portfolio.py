@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark harness for the parallel portfolio runner.
+"""Benchmark suite for the parallel portfolio runner.
 
 Races the diversified :class:`~repro.sat.SolverConfig` lineup against the
 sequential engine on the two heavy-tier families where single-trajectory
@@ -9,7 +9,7 @@ luck dominates wall clock:
 * ``random_3sat`` — uniform 3-SAT at the phase-transition ratio (fixed
   seeds, mixed answers).
 
-Measurement is **interleaved A/B**: for every worker count the harness
+Measurement is **interleaved A/B**: for every worker count the suite
 runs the sequential engine immediately before the portfolio race and
 derives the speedup from that adjacent pair, so machine drift between
 the first and last run cannot flatter either side.  Every run's verdicts
@@ -17,35 +17,27 @@ are asserted equal to the sequential engine's (a portfolio must never
 change an answer), and the win-attribution table records which config
 won each race.
 
-The JSON shape matches the other suites (``results[*].workload`` +
-``seconds``), so ``check_regression.py`` gates it the moment a baseline
-is committed.  NOTE: on a single-core container the portfolio cannot
-beat the sequential engine except by diversification luck — workers
-time-share one CPU.  Speedups here are honest measurements of whatever
-hardware CI provides, not a claim about the 1-core case.
+NOTE: on a single-core machine the portfolio cannot beat the sequential
+engine except by diversification luck — workers time-share one CPU.
+Speedups here are honest measurements of whatever hardware runs them
+(the JSON records ``cpus``), not a claim about the 1-core case.  Tiers:
+``smoke`` (CI's per-push gate), ``full`` and ``heavy``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_portfolio.py \
-        [--mode {smoke,full,heavy}] [--share-clauses] [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_portfolio.py [--mode {smoke,full,heavy}] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+import harness
+from bench_sat import pigeonhole_clauses, random_3sat_clauses
+from repro import run_script
+from repro.portfolio import solve_portfolio
 
-from bench_sat import pigeonhole_clauses, random_3sat_clauses  # noqa: E402
-
-from repro import run_script  # noqa: E402
-from repro.portfolio import solve_portfolio  # noqa: E402
-
-#: Per-tier sizes: (pigeonhole holes, 3-SAT vars, 3-SAT seeds, worker counts).
+#: (pigeonhole holes, 3-SAT vars, 3-SAT seeds, worker counts) per tier.
 MODE_SIZES = {
     "smoke": (4, 30, (0,), (1, 2)),
     "full": (6, 120, (0, 1), (1, 2, 4)),
@@ -54,6 +46,10 @@ MODE_SIZES = {
 #: Hard wall-clock ceiling per race, so a pathological heavy run cannot
 #: wedge CI; hitting it shows up as a verdict mismatch (unknown/timeout).
 RACE_TIMEOUT = 600.0
+COUNTERS = ("conflicts", "decisions", "propagations", "restarts", "learned")
+COLUMNS = [
+    ("workload", 18), ("n", 5), ("answer", 8), ("seconds", 0), ("speedup", 0), ("wins", 0)
+]
 
 
 def clauses_to_script(clauses: list[list[int]]) -> str:
@@ -74,39 +70,19 @@ def sequential_run(script: str) -> tuple[list[str], float, dict[str, int]]:
     t0 = time.perf_counter()
     result = run_script(script, timeout=RACE_TIMEOUT)
     elapsed = time.perf_counter() - t0
-    stats = result.check_results[0].stats
-    solver = {
-        key: stats.get(key, 0)
-        for key in ("conflicts", "decisions", "propagations", "restarts", "learned")
-    }
+    metrics = result.check_results[0].metrics
+    solver = {key: metrics[f"sat.{key}"] for key in COUNTERS}
     return result.answers, elapsed, solver
 
 
-def portfolio_run(
-    script: str, workers: int, share_clauses: bool
-) -> tuple[list[str], float, str]:
+def portfolio_run(script: str, workers: int) -> tuple[list[str], float, str]:
     t0 = time.perf_counter()
-    outcome = solve_portfolio(
-        script,
-        workers=workers,
-        timeout=RACE_TIMEOUT,
-        share_clauses=share_clauses,
-    )
+    outcome = solve_portfolio(script, workers=workers, timeout=RACE_TIMEOUT)
     elapsed = time.perf_counter() - t0
-    return (
-        outcome.result.answers,
-        elapsed,
-        outcome.winner_config.name,
-    )
+    return outcome.result.answers, elapsed, outcome.winner_config.name
 
 
-def run_family(
-    name: str,
-    n: int,
-    script: str,
-    worker_counts: tuple[int, ...],
-    share_clauses: bool,
-) -> dict:
+def run_family(name: str, n: int, script: str, worker_counts: tuple[int, ...]) -> dict:
     seconds: dict[str, float] = {}
     speedup: dict[str, float] = {}
     wins: dict[str, str] = {}
@@ -116,7 +92,7 @@ def run_family(
         # Interleaved A/B: a fresh sequential run right before each race.
         answers_a, seq_adjacent, _ = sequential_run(script)
         assert answers_a == baseline_answers, (name, workers, "sequential drifted")
-        answers_b, port_s, winner = portfolio_run(script, workers, share_clauses)
+        answers_b, port_s, winner = portfolio_run(script, workers)
         assert answers_b == baseline_answers, (
             f"{name}: portfolio w{workers} changed the verdict "
             f"({answers_b} vs {baseline_answers})"
@@ -135,88 +111,16 @@ def run_family(
     }
 
 
-def _run(args: argparse.Namespace) -> int:
-    php_n, sat3_n, sat3_seeds, worker_counts = MODE_SIZES[args.mode]
-    results = [
-        run_family(
-            "pigeonhole",
-            php_n,
-            clauses_to_script(pigeonhole_clauses(php_n)),
-            worker_counts,
-            args.share_clauses,
-        )
+def workloads(sizes) -> list[dict]:
+    holes, sat3_vars, seeds, worker_counts = sizes
+    scripts = {"pigeonhole": (holes, pigeonhole_clauses(holes))}
+    for seed in seeds:
+        scripts[f"random_3sat_s{seed}"] = (sat3_vars, random_3sat_clauses(sat3_vars, seed))
+    return [
+        run_family(name, n, clauses_to_script(clauses), worker_counts)
+        for name, (n, clauses) in scripts.items()
     ]
-    for seed in sat3_seeds:
-        results.append(
-            run_family(
-                f"random_3sat_s{seed}",
-                sat3_n,
-                clauses_to_script(random_3sat_clauses(sat3_n, seed)),
-                worker_counts,
-                args.share_clauses,
-            )
-        )
-
-    header = (
-        f"{'workload':<18} {'n':>5} {'answer':>8} {'seq_s':>8} "
-        + " ".join(f"{'w' + str(w) + '_s':>8} {'x' + str(w):>6}" for w in worker_counts)
-    )
-    print(header)
-    print("-" * len(header))
-    for row in results:
-        cells = " ".join(
-            f"{row['seconds'][f'portfolio_w{w}']:>8.3f} "
-            f"{row['speedup'][f'w{w}']:>6.2f}"
-            for w in worker_counts
-        )
-        print(
-            f"{row['workload']:<18} {row['n']:>5} {row['answer']:>8} "
-            f"{row['seconds']['sequential']:>8.3f} {cells}"
-        )
-    print("\nwin attribution:")
-    for row in results:
-        attribution = ", ".join(
-            f"{key}={value}" for key, value in sorted(row["wins"].items())
-        )
-        print(f"  {row['workload']}: {attribution}")
-
-    payload = {
-        "bench": "portfolio",
-        "mode": args.mode,
-        "share_clauses": args.share_clauses,
-        "cpus": os.cpu_count(),
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--mode",
-        choices=sorted(MODE_SIZES),
-        default="full",
-        help="workload tier: smoke (ms), full (sub-second), heavy (seconds)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true", help="alias for --mode=smoke"
-    )
-    parser.add_argument(
-        "--share-clauses",
-        action="store_true",
-        help="enable learned-clause sharing between the racing workers",
-    )
-    parser.add_argument("--out", default="BENCH_portfolio.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.mode = "smoke"
-    return _run(args)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main("portfolio", MODE_SIZES, workloads, COLUMNS))

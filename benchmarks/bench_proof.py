@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark harness for proof production and checking.
+"""Benchmark suite for proof production and checking.
 
 Four deterministic workload families measure the certification
 pipeline end to end:
@@ -18,60 +18,32 @@ pipeline end to end:
   named-selector machinery, core extraction and proof certification
   through the full SMT-LIB stack.
 
-Results are printed as a table and written as JSON (``BENCH_proof.json``)
-in the same shape as the other ``bench_*`` suites, so CI archives them
-and ``check_regression.py`` gates the timings against the committed
-baseline.  ``--smoke`` shrinks sizes and verifies every answer, core
-and proof.
+Every answer, core and proof is verified.  Tiers: ``smoke`` (CI's
+per-push gate) and ``full``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_proof.py [--smoke] [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_proof.py [--mode {smoke,full}] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import random
-import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-sys.setrecursionlimit(1_000_000)
+import harness
+from bench_sat import RANDOM_3SAT_SEEDS, pigeonhole_clauses, random_3sat_clauses
+from repro.engine import solve_script
+from repro.proof import ProofLog, check_proof
+from repro.sat import Solver
 
-from repro.engine import solve_script  # noqa: E402
-from repro.proof import ProofLog, check_proof  # noqa: E402
-from repro.sat import Solver  # noqa: E402
-
-PHASE_TRANSITION_RATIO = 4.26
-RANDOM_3SAT_SEEDS = (0, 1, 2)
-
-
-def pigeonhole_clauses(holes: int) -> list[list[int]]:
-    """PHP(holes+1, holes): every pigeon in a hole, no hole shared."""
-    pigeons = holes + 1
-
-    def var(i: int, j: int) -> int:
-        return i * holes + j + 1
-
-    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
-    for j in range(holes):
-        for a in range(pigeons):
-            for b in range(a + 1, pigeons):
-                clauses.append([-var(a, j), -var(b, j)])
-    return clauses
-
-
-def random_3sat_clauses(num_vars: int, seed: int) -> list[list[int]]:
-    rng = random.Random(seed)
-    num_clauses = round(PHASE_TRANSITION_RATIO * num_vars)
-    clauses = []
-    for _ in range(num_clauses):
-        variables = rng.sample(range(1, num_vars + 1), 3)
-        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
-    return clauses
+#: (pigeonhole holes, random-3sat vars, named assertions) per tier.  35
+#: vars puts two of the three fixed seeds on the unsat side, so even the
+#: smoke run checks proofs on mixed verdicts.
+MODE_SIZES = {
+    "smoke": (4, 35, 20),
+    "full": (6, 100, 200),
+}
+COLUMNS = [("workload", 20), ("n", 6), ("answer", 16), ("proof.steps", 8), ("seconds", 0)]
 
 
 def named_core_script(width: int) -> str:
@@ -89,11 +61,6 @@ def named_core_script(width: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Runners.
-# ---------------------------------------------------------------------------
-
-
 def _solve(clauses: list[list[int]], logged: bool):
     solver = Solver()
     if logged:
@@ -105,18 +72,16 @@ def _solve(clauses: list[list[int]], logged: bool):
     return solver, answer, time.perf_counter() - t0
 
 
-def run_pigeonhole(holes: int, verify: bool) -> list[dict]:
+def run_pigeonhole(holes: int) -> list[dict]:
     clauses = pigeonhole_clauses(holes)
     _, answer_plain, plain_s = _solve(clauses, logged=False)
     solver, answer, logged_s = _solve(clauses, logged=True)
-    if verify:
-        assert answer_plain == answer == "unsat", (answer_plain, answer)
+    assert answer_plain == answer == "unsat", (answer_plain, answer)
     proof = solver.proof.snapshot(())
     t0 = time.perf_counter()
     verdict = check_proof(proof)
     check_s = time.perf_counter() - t0
-    if verify:
-        assert verdict.ok, verdict.error
+    assert verdict.ok, verdict.error
     counts = proof.counts()
     shape = {
         "steps": len(proof),
@@ -147,7 +112,7 @@ def run_pigeonhole(holes: int, verify: bool) -> list[dict]:
     ]
 
 
-def run_random_3sat(num_vars: int, verify: bool) -> dict:
+def run_random_3sat(num_vars: int) -> dict:
     solve_s = check_s = 0.0
     answers = []
     steps = 0
@@ -162,8 +127,7 @@ def run_random_3sat(num_vars: int, verify: bool) -> dict:
             t0 = time.perf_counter()
             verdict = check_proof(proof)
             check_s += time.perf_counter() - t0
-            if verify:
-                assert verdict.ok, verdict.error
+            assert verdict.ok, verdict.error
     return {
         "workload": "random_3sat_logged",
         "n": num_vars,
@@ -173,7 +137,7 @@ def run_random_3sat(num_vars: int, verify: bool) -> dict:
     }
 
 
-def run_engine_cores(width: int, verify: bool) -> dict:
+def run_engine_cores(width: int) -> dict:
     source = named_core_script(width)
     t0 = time.perf_counter()
     checks = solve_script(source, produce_proofs=True, produce_unsat_cores=True)
@@ -182,10 +146,9 @@ def run_engine_cores(width: int, verify: bool) -> dict:
     t0 = time.perf_counter()
     verdict = check_proof(check.proof) if check.proof is not None else None
     check_s = time.perf_counter() - t0
-    if verify:
-        assert check.answer == "unsat", check.answer
-        assert check.unsat_core == ("low", "high"), check.unsat_core
-        assert verdict is not None and verdict.ok, verdict
+    assert check.answer == "unsat", check.answer
+    assert check.unsat_core == ("low", "high"), check.unsat_core
+    assert verdict is not None and verdict.ok, verdict
     return {
         "workload": "engine_unsat_core",
         "n": width,
@@ -196,46 +159,10 @@ def run_engine_cores(width: int, verify: bool) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="small sizes + full verification")
-    parser.add_argument("--check", action="store_true", help="verify answers, cores and proofs")
-    parser.add_argument("--out", default="BENCH_proof.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    verify = args.check or args.smoke
-    php_n = 4 if args.smoke else 6
-    # 35 vars puts two of the three fixed seeds on the unsat side, so
-    # even the smoke run exercises proof checking on mixed verdicts.
-    sat3_n = 35 if args.smoke else 100
-    core_n = 20 if args.smoke else 200
-
-    results = run_pigeonhole(php_n, verify)
-    results.append(run_random_3sat(sat3_n, verify))
-    results.append(run_engine_cores(core_n, verify))
-
-    header = f"{'workload':<20} {'n':>6} {'answer':>16} {'steps':>8} {'seconds':>9}"
-    print(header)
-    print("-" * len(header))
-    for row in results:
-        steps = row.get("proof", {}).get("steps", "-")
-        total = sum(row["seconds"].values())
-        print(
-            f"{row['workload']:<20} {row['n']:>6} {row['answer'][:16]:>16} "
-            f"{steps:>8} {total:>9.4f}"
-        )
-
-    payload = {
-        "bench": "proof",
-        "mode": "smoke" if args.smoke else "full",
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"\nwrote {args.out}")
-    return 0
+def workloads(sizes) -> list[dict]:
+    holes, sat3_vars, width = sizes
+    return [*run_pigeonhole(holes), run_random_3sat(sat3_vars), run_engine_cores(width)]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main("proof", MODE_SIZES, workloads, COLUMNS))

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark harness for the DPLL(T) engine: EUF workloads and
+"""Benchmark suite for the DPLL(T) engine: EUF workloads and
 incremental push/pop solving.
 
 Four deterministic workload families, all driven through the full
@@ -14,39 +14,30 @@ engine (parse-free: scripts are built as command tuples):
   lazy-SMT search/theory ping-pong, always unsat.
 * ``euf_model`` — a satisfiable equality web over function chains;
   measures closure plus model construction and in-engine validation.
-* ``incremental`` — a shared boolean core (xor chain) plus ``rounds``
-  push/assert/check/pop deltas, solved twice: once through ONE persistent
-  engine (the PR-4 path: selector-literal frames, retained learned
-  clauses, zero re-encoding of the core) and once from scratch with a
-  fresh engine per query.  The row reports both times and their ratio;
-  with ``--check``/``--smoke`` the harness asserts the persistent path
-  is at least 2x faster (the acceptance criterion) and that both paths
-  agree on every answer.
+* ``incremental`` — a shared boolean core (``bench_sat``'s satisfiable
+  xor chain) plus ``rounds`` push/assert/check/pop deltas, solved twice:
+  once through ONE persistent engine (selector-literal frames, retained
+  learned clauses, zero re-encoding of the core) and once from scratch
+  with a fresh engine per query.  The row reports both times and their
+  ratio; the suite asserts that both paths agree on every answer, that
+  the core is never re-encoded, and that the persistent path is at
+  least 2x faster.
 
-Results are printed as a table and written as JSON (``BENCH_smt.json``),
-the same shape as the other suites, so ``check_regression.py``
-auto-gates them against ``benchmarks/baselines/BENCH_smt.json``.
+Tiers: ``smoke`` (CI's per-push gate) and ``full``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_smt.py [--smoke] [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_smt.py [--mode {smoke,full}] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import threading
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-sys.setrecursionlimit(1_000_000)
-
-from repro import Engine  # noqa: E402
-from repro.obs import Observability, phase_seconds  # noqa: E402
-from repro.smtlib import (  # noqa: E402
+import harness
+from bench_sat import xor_chain_terms
+from repro import Engine
+from repro.smtlib import (
     BOOL,
     Apply,
     Assert,
@@ -59,6 +50,16 @@ from repro.smtlib import (  # noqa: E402
     uninterpreted_sort,
 )
 
+#: (orbit n, pigeonhole holes, model n, xor core length, rounds) per tier.
+MODE_SIZES = {
+    "smoke": (60, 4, 80, 120, 6),
+    "full": (400, 6, 600, 500, 14),
+}
+COUNTERS = ("sat.conflicts", "sat.propagations", "sat.theory_lemmas", "theory.euf.merges")
+COLUMNS = [
+    ("workload", 16), ("n", 6), ("nodes.vars", 7), ("nodes.clauses", 8), ("answer", 22),
+    ("solver.conflicts", 10), ("speedup", 7), ("seconds", 0),
+]
 U = uninterpreted_sort("U")
 
 
@@ -74,11 +75,6 @@ def f_chain(term, length):
     for _ in range(length):
         term = Apply("f", (term,), U)
     return term
-
-
-# ---------------------------------------------------------------------------
-# Workload generators.
-# ---------------------------------------------------------------------------
 
 
 def orbit_commands(n):
@@ -132,22 +128,12 @@ def euf_model_commands(n):
     return tuple(commands)
 
 
-def xor_core_assertions(length):
-    """The bench_sat xor chain as terms: z_i = x_i xor z_{i-1}, plus the
-    direct parity — satisfiable, with plenty of shared structure."""
+def incremental_workload(length, rounds):
+    """Returns (incremental commands, per-check flattened scripts, expected
+    answers)."""
+    base = xor_chain_terms(length, True)
     xs = [Symbol(f"x{i}", BOOL) for i in range(length)]
     zs = [Symbol(f"z{i}", BOOL) for i in range(length)]
-    assertions = [eq(zs[0], xs[0])]
-    for i in range(1, length):
-        assertions.append(eq(zs[i], Apply("xor", (xs[i], zs[i - 1]), BOOL)))
-    assertions.append(eq(zs[-1], Apply("xor", tuple(xs), BOOL)))
-    return assertions, xs, zs
-
-
-def incremental_workload(length, rounds):
-    """Returns (full incremental script, per-check flattened scripts,
-    expected answers)."""
-    base, xs, zs = xor_core_assertions(length)
     commands = [Assert(term) for term in base]
     commands.append(CheckSat())
     flattened = [Script(tuple(Assert(t) for t in base) + (CheckSat(),))]
@@ -177,178 +163,56 @@ def incremental_workload(length, rounds):
                 + (CheckSat(),)
             )
         )
-    return Script(tuple(commands)), flattened, expected
+    return commands, flattened, expected
 
 
-# ---------------------------------------------------------------------------
-# Runners.
-# ---------------------------------------------------------------------------
+def core_not_reencoded(result) -> None:
+    """After the first check, each check adds only a handful of variables."""
+    grown = [check.metrics["engine.vars"] for check in result.check_results]
+    added = [after - before for before, after in zip(grown, grown[1:])]
+    assert max(added, default=0) < 50, f"core re-encoded: {added}"
 
 
-def run_script_workload(name, n, commands, expected, verify):
-    obs = Observability.tracing()
-    engine = Engine(obs=obs)
-    t0 = time.perf_counter()
-    result = engine.run(Script(tuple(commands)))
-    elapsed = time.perf_counter() - t0
-    answers = result.answers
-    if verify and expected is not None:
-        assert answers == expected, (name, answers, expected)
-    last = result.check_results[-1]
-    return {
-        "workload": name,
-        "n": n,
-        "nodes": {
-            "vars": last.stats.get("vars", 0),
-            "clauses": last.stats.get("clauses", 0),
-            "atoms": last.stats.get("atoms", 0),
-        },
-        "answer": ",".join(answers),
-        "solver": {
-            "conflicts": sum(r.stats.get("conflicts", 0) for r in result.check_results),
-            "propagations": sum(
-                r.stats.get("propagations", 0) for r in result.check_results
-            ),
-            "theory_lemmas": sum(
-                r.stats.get("theory_lemmas", 0) for r in result.check_results
-            ),
-            "euf_merges": sum(r.stats.get("euf_merges", 0) for r in result.check_results),
-        },
-        "seconds": {"solve": round(elapsed, 6)},
-        "phases": phase_seconds(obs.tracer),
-        "metrics": engine.metrics.snapshot(),
-    }
-
-
-def run_incremental_workload(length, rounds, verify):
-    script, flattened, expected = incremental_workload(length, rounds)
-
-    obs = Observability.tracing()
-    t0 = time.perf_counter()
-    engine = Engine(obs=obs)
-    incremental_result = engine.run(script)
-    incremental_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    scratch_answers = []
-    for reference in flattened:
-        scratch_answers.append(Engine().run(reference).answers[0])
-    scratch_s = time.perf_counter() - t0
-
-    answers = incremental_result.answers
-    speedup = scratch_s / incremental_s if incremental_s > 0 else float("inf")
-    if verify:
-        assert answers == expected, (answers, expected)
-        assert scratch_answers == expected, (scratch_answers, expected)
-        later = incremental_result.check_results[1:]
-        # The core is never re-encoded after the first check ...
-        assert all(r.stats["tseitin_new_vars"] < 50 for r in later), "core re-encoded"
-        # ... and the acceptance criterion: >= 2x over from-scratch.  The
-        # full bar applies only above a timing floor (mirroring
-        # check_regression's clamp) so scheduler noise on CI-sized smoke
-        # runs cannot flake the build; smoke still sanity-checks >= 1.2x
-        # against a locally-measured ~3x.
-        if scratch_s >= 0.25:
-            assert speedup >= 2.0, f"incremental speedup only {speedup:.2f}x"
-        else:
-            assert speedup >= 1.2, f"incremental speedup only {speedup:.2f}x"
-    stats = incremental_result.check_results[-1].stats
-    return {
-        "workload": "incremental",
-        "n": length,
-        "rounds": rounds,
-        "nodes": {
-            "vars": stats.get("vars", 0),
-            "clauses": stats.get("clauses", 0),
-            "atoms": stats.get("atoms", 0),
-        },
-        "answer": ",".join(answers),
-        "speedup": round(speedup, 2),
-        "solver": {
-            "conflicts": sum(
-                r.stats.get("conflicts", 0) for r in incremental_result.check_results
-            ),
-            "learned_db": stats.get("learned_db", 0),
-        },
-        "seconds": {
-            "incremental": round(incremental_s, 6),
-            "scratch": round(scratch_s, 6),
-        },
-        "phases": phase_seconds(obs.tracer),
-        "metrics": engine.metrics.snapshot(),
-    }
-
-
-def _run(args: argparse.Namespace) -> int:
-    verify = args.check or args.smoke
-    orbit_n = 60 if args.smoke else 400
-    php_n = 4 if args.smoke else 6
-    model_n = 80 if args.smoke else 600
-    chain_n = 120 if args.smoke else 500
-    rounds = 6 if args.smoke else 14
-
-    results = [
-        run_script_workload(
-            "euf_orbit", orbit_n, orbit_commands(orbit_n), ["unsat"], verify
-        ),
-        run_script_workload(
-            "euf_pigeonhole",
-            php_n,
-            euf_pigeonhole_commands(php_n),
-            ["unsat"],
-            verify,
-        ),
-        run_script_workload(
-            "euf_model", model_n, euf_model_commands(model_n), ["sat"], verify
-        ),
-        run_incremental_workload(chain_n, rounds, verify),
-    ]
-
-    header = (
-        f"{'workload':<16} {'n':>6} {'vars':>7} {'clauses':>8} {'answer':>22} "
-        f"{'conflicts':>10} {'seconds':>18}"
+def incremental_row(length, rounds) -> dict:
+    commands, flattened, expected = incremental_workload(length, rounds)
+    row = harness.engine_row(
+        "incremental",
+        length,
+        commands,
+        expected,
+        ("sat.conflicts", "engine.learned_db"),
+        verify=core_not_reencoded,
     )
-    print(header)
-    print("-" * len(header))
-    for row in results:
-        seconds = " ".join(f"{k}={v:.4f}" for k, v in row["seconds"].items())
-        answer = row["answer"] if len(row["answer"]) <= 22 else row["answer"][:19] + "..."
-        print(
-            f"{row['workload']:<16} {row['n']:>6} {row['nodes']['vars']:>7} "
-            f"{row['nodes']['clauses']:>8} {answer:>22} "
-            f"{row['solver']['conflicts']:>10} {seconds:>18}"
-        )
-    incremental = next(r for r in results if r["workload"] == "incremental")
-    print(f"\nincremental speedup vs from-scratch: {incremental['speedup']:.2f}x")
-
-    payload = {
-        "bench": "smt",
-        "mode": "smoke" if args.smoke else "full",
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-    return 0
+    t0 = time.perf_counter()
+    scratch_answers = [Engine().run(reference).answers[0] for reference in flattened]
+    scratch_s = time.perf_counter() - t0
+    assert scratch_answers == expected, (scratch_answers, expected)
+    incremental_s = row["seconds"]["solve"]
+    speedup = scratch_s / incremental_s if incremental_s > 0 else float("inf")
+    # The full 2x bar applies only above a timing floor, so scheduler
+    # noise on smoke-sized runs cannot flake the build; smoke still
+    # sanity-checks >= 1.2x against a locally measured ~3x.
+    floor = 2.0 if scratch_s >= 0.25 else 1.2
+    assert speedup >= floor, f"incremental speedup only {speedup:.2f}x"
+    row.update(
+        rounds=rounds,
+        speedup=round(speedup, 2),
+        seconds={"incremental": incremental_s, "scratch": round(scratch_s, 6)},
+    )
+    return row
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="small sizes + full verification")
-    parser.add_argument("--check", action="store_true", help="verify answers and speedup")
-    parser.add_argument("--out", default="BENCH_smt.json", help="JSON output path")
-    args = parser.parse_args(argv)
-    # Deep chains recurse through simplify/NNF/Tseitin; run in a worker
-    # thread with a large stack, mirroring the other benchmark harnesses.
-    outcome: list = []
-    threading.stack_size(512 * 1024 * 1024)
-    worker = threading.Thread(target=lambda: outcome.append(_run(args)))
-    worker.start()
-    worker.join()
-    return outcome[0] if outcome else 1
+def workloads(sizes) -> list[dict]:
+    orbit_n, holes, model_n, length, rounds = sizes
+    return [
+        harness.engine_row("euf_orbit", orbit_n, orbit_commands(orbit_n), ["unsat"], COUNTERS),
+        harness.engine_row(
+            "euf_pigeonhole", holes, euf_pigeonhole_commands(holes), ["unsat"], COUNTERS
+        ),
+        harness.engine_row("euf_model", model_n, euf_model_commands(model_n), ["sat"], COUNTERS),
+        incremental_row(length, rounds),
+    ]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main("smt", MODE_SIZES, workloads, COLUMNS))

@@ -1,44 +1,35 @@
 #!/usr/bin/env python3
 """Benchmark regression gate: compare fresh BENCH_*.json against baselines.
 
-For every fresh result file given on the command line, the matching
-baseline (same file name) is loaded from ``--baseline-dir`` and each
-workload's total wall-clock is compared.  With **no** positional
-arguments the gate auto-discovers every ``--baseline-dir``/``*.json``
-and expects the matching fresh file in the current directory — so a new
-benchmark suite is gated the moment its baseline is committed, with no
-CI or script changes (a discovered baseline whose fresh file is missing
-fails the gate: the suite was supposed to run).
+Each fresh result file is compared with the baseline of the same file
+name in ``--baseline-dir``.  With no positional arguments the gate
+auto-discovers every ``--baseline-dir``/``*.json`` and expects the fresh
+file in the current directory, so a suite is gated the moment its
+baseline is committed (a discovered baseline whose fresh file is missing
+fails: the suite was supposed to run).
 
-The gate fails (exit 1) when any
-workload regressed by more than ``--threshold``× (default 2.5×, generous
-enough to absorb CI-runner noise).  Sub-floor timings (default 50 ms) are
-clamped before comparing, so micro-workloads cannot trip the gate on
-scheduler jitter and modest machine-speed differences between the
-baseline machine and the CI runner are absorbed for smoke-sized
-workloads.  Workloads present only on one side are reported but do
-not fail the gate, so adding a benchmark never requires a lockstep
-baseline update.
+The gate compares like with like, and fails (exit 1) when
 
-Speedups are reported too: a workload more than
-``--speedup-threshold``× faster than its baseline (default 2×) is
-flagged ``FASTER — consider re-baselining``.  Speedups never fail the
-gate; the flag makes a perf win visible in CI output and nudges the
-author to refresh the committed baseline so the gate keeps teeth.
+* the baseline was recorded in another ``mode`` (tier) than the fresh
+  run, or a workload present on both sides has a different ``n``;
+* a workload's wall-clock (the sum of its ``seconds``) exceeds the
+  baseline by more than ``THRESHOLD``×.  Timings below ``FLOOR`` are
+  clamped first, so micro-workloads cannot trip the gate on scheduler
+  jitter;
+* any deterministic counter of a shared workload differs from the
+  baseline at all: the ``solver`` block and the integer ``intern``
+  counters.  Counters are identical from run to run, so a difference
+  means the search or the term core changed; a deliberate change is
+  recorded by re-recording the baseline.
 
-Besides the wall-clock gate, the script prints an **informational**
-counter-drift report: the deterministic search counters (``solver`` and
-``intern`` blocks of each workload row) are compared against the
-baseline and any counter that moved by more than ``--drift-threshold``×
-(default 1.5×, both sides above a small noise floor) is listed.  Counter
-drift never fails the gate — timings vary with the machine, but counter
-movement on identical inputs means the search *behavior* changed, which
-is exactly what a reviewer wants surfaced next to a timing diff.
+Workloads present on one side only are reported but do not fail, so
+adding a workload never needs a lockstep baseline update.  A workload
+more than ``SPEEDUP``× faster than its baseline is flagged ``FASTER`` —
+a hint to re-record the baseline so the gate keeps its teeth.
 
 Usage::
 
-    python benchmarks/check_regression.py [BENCH_simplify.json ...] \
-        [--baseline-dir benchmarks/baselines] [--threshold 2.5] [--floor 0.02]
+    python benchmarks/check_regression.py [BENCH_sat.json ...] [--baseline-dir DIR]
 """
 
 from __future__ import annotations
@@ -48,72 +39,64 @@ import glob
 import json
 import os
 
-
-def workload_seconds(payload: dict) -> dict[str, float]:
-    """Total wall-clock per workload: the sum of its non-null phase timings."""
-    totals: dict[str, float] = {}
-    for row in payload.get("results", []):
-        seconds = row.get("seconds", {})
-        totals[row["workload"]] = sum(v for v in seconds.values() if v is not None)
-    return totals
+#: Fail when a workload is slower than its baseline by this factor.
+THRESHOLD = 2.5
+#: Seconds; timings below this are clamped before comparing.
+FLOOR = 0.05
+#: Flag (never fail) workloads faster than their baseline by this factor.
+SPEEDUP = 2.0
 
 
-def workload_counters(payload: dict) -> dict[str, dict[str, int]]:
-    """Per-workload deterministic counters: the ``solver`` block plus the
-    integer ``intern`` entries (hit_rate and other floats are derived)."""
-    out: dict[str, dict[str, int]] = {}
-    for row in payload.get("results", []):
-        counters: dict[str, int] = {}
-        for key, value in (row.get("solver") or {}).items():
-            if isinstance(value, int):
-                counters[key] = value
-        for key, value in (row.get("intern") or {}).items():
-            if isinstance(value, int):
-                counters[f"intern.{key}"] = value
-        out[row["workload"]] = counters
+def counters(row: dict) -> dict[str, int]:
+    """The deterministic counters of a workload row: its ``solver`` block
+    plus the integer ``intern`` entries (``hit_rate`` is derived)."""
+    out = {key: value for key, value in (row.get("solver") or {}).items() if isinstance(value, int)}
+    for key, value in (row.get("intern") or {}).items():
+        if isinstance(value, int):
+            out[f"intern.{key}"] = value
     return out
 
 
-def counter_drift(
-    fresh_path: str,
-    baseline_path: str,
-    drift_threshold: float,
-    min_count: int = 50,
-):
-    """Yield (workload, counter, baseline, fresh, ratio) rows where a
-    counter moved by more than ``drift_threshold``× in either direction.
-    Counters below ``min_count`` on both sides are noise and skipped."""
-    with open(fresh_path, encoding="utf-8") as handle:
-        fresh = workload_counters(json.load(handle))
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = workload_counters(json.load(handle))
-    for workload in sorted(fresh.keys() & baseline.keys()):
-        fresh_counters = fresh[workload]
-        baseline_counters = baseline[workload]
-        for key in sorted(fresh_counters.keys() & baseline_counters.keys()):
-            fresh_v = fresh_counters[key]
-            base_v = baseline_counters[key]
-            if max(fresh_v, base_v) < min_count:
-                continue
-            ratio = (fresh_v + 1) / (base_v + 1)
-            if ratio > drift_threshold or ratio < 1 / drift_threshold:
-                yield workload, key, base_v, fresh_v, ratio
-
-
-def compare(fresh_path: str, baseline_path: str, threshold: float, floor: float):
-    """Yield (workload, fresh_s, baseline_s, ratio, regressed) rows."""
-    with open(fresh_path, encoding="utf-8") as handle:
-        fresh = workload_seconds(json.load(handle))
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = workload_seconds(json.load(handle))
-    for workload in sorted(fresh.keys() | baseline.keys()):
-        fresh_s = fresh.get(workload)
-        baseline_s = baseline.get(workload)
-        if fresh_s is None or baseline_s is None:
-            yield workload, fresh_s, baseline_s, None, False
+def compare(fresh: dict, baseline: dict) -> list[str]:
+    """Print the workload-by-workload comparison; return the failures."""
+    if fresh.get("mode") != baseline.get("mode"):
+        failure = f"mode differs: baseline {baseline.get('mode')!r}, fresh {fresh.get('mode')!r}"
+        print(f"   {failure} — re-record the baseline in the fresh run's mode")
+        return [failure]
+    old = {row["workload"]: row for row in baseline.get("results", [])}
+    new = {row["workload"]: row for row in fresh.get("results", [])}
+    failures: list[str] = []
+    header = f"{'workload':<20} {'baseline_s':>11} {'fresh_s':>9} {'ratio':>7}  status"
+    print(header)
+    print("-" * len(header))
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            side = "fresh" if name in new else "baseline"
+            print(f"{name:<20} {'-':>11} {'-':>9} {'-':>7}  only in {side}")
             continue
-        ratio = max(fresh_s, floor) / max(baseline_s, floor)
-        yield workload, fresh_s, baseline_s, ratio, ratio > threshold
+        before, after = old[name], new[name]
+        if before.get("n") != after.get("n"):
+            failures.append(f"{name}: n differs: baseline {before.get('n')}, fresh {after.get('n')}")
+            print(f"{name:<20} {'-':>11} {'-':>9} {'-':>7}  N DIFFERS")
+            continue
+        base_s = sum(v for v in before.get("seconds", {}).values() if v is not None)
+        fresh_s = sum(v for v in after.get("seconds", {}).values() if v is not None)
+        ratio = max(fresh_s, FLOOR) / max(base_s, FLOOR)
+        status = "ok"
+        if ratio > THRESHOLD:
+            status = "REGRESSED"
+            failures.append(f"{name}: {ratio:.2f}x slower than baseline")
+        elif ratio < 1 / SPEEDUP:
+            status = f"FASTER ({1 / ratio:.1f}x) — consider re-baselining"
+        print(f"{name:<20} {base_s:>11.4f} {fresh_s:>9.4f} {ratio:>6.2f}x  {status}")
+        base_c, fresh_c = counters(before), counters(after)
+        for key in sorted(base_c.keys() | fresh_c.keys()):
+            if base_c.get(key) != fresh_c.get(key):
+                failures.append(
+                    f"{name}.{key}: baseline {base_c.get(key)}, fresh {fresh_c.get(key)}"
+                )
+                print(f"  counter {key}: baseline {base_c.get(key)}, fresh {fresh_c.get(key)}")
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,34 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "baselines"),
         help="directory holding the committed baseline JSONs",
     )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=2.5,
-        help="fail when fresh wall-clock exceeds baseline by this factor",
-    )
-    parser.add_argument(
-        "--floor",
-        type=float,
-        default=0.05,
-        help="clamp timings below this many seconds before comparing",
-    )
-    parser.add_argument(
-        "--drift-threshold",
-        type=float,
-        default=1.5,
-        help="report (never fail on) counters that moved by this factor",
-    )
-    parser.add_argument(
-        "--speedup-threshold",
-        type=float,
-        default=2.0,
-        help="report (never fail on) workloads faster than baseline by this factor",
-    )
     args = parser.parse_args(argv)
 
     failures: list[str] = []
-    speedups: list[str] = []
     fresh_files = list(args.fresh)
     if not fresh_files:
         baselines = sorted(glob.glob(os.path.join(args.baseline_dir, "*.json")))
@@ -164,76 +122,31 @@ def main(argv: list[str] | None = None) -> int:
             print(f"no baselines in {args.baseline_dir}; nothing to gate")
             return 0
         fresh_files = [os.path.basename(path) for path in baselines]
-        print(
-            "auto-discovered {} baseline suite(s): {}".format(
-                len(fresh_files), ", ".join(fresh_files)
-            )
-        )
+        print(f"auto-discovered {len(fresh_files)} baseline suite(s): {', '.join(fresh_files)}")
         for fresh_path in list(fresh_files):
             if not os.path.exists(fresh_path):
-                failures.append(f"{fresh_path} (fresh result missing — suite not run?)")
+                failures.append(f"{fresh_path}: fresh result missing — suite not run?")
                 fresh_files.remove(fresh_path)
 
-    header = f"{'workload':<20} {'baseline_s':>11} {'fresh_s':>9} {'ratio':>7}  status"
     for fresh_path in fresh_files:
         baseline_path = os.path.join(args.baseline_dir, os.path.basename(fresh_path))
         print(f"== {fresh_path} vs {baseline_path}")
         if not os.path.exists(baseline_path):
-            print("   no baseline found; skipping (commit one to enable the gate)")
+            print("   no baseline found; skipping (commit one to enable the gate)\n")
             continue
-        print(header)
-        print("-" * len(header))
-        for workload, fresh_s, baseline_s, ratio, regressed in compare(
-            fresh_path, baseline_path, args.threshold, args.floor
-        ):
-            if ratio is None:
-                side = "baseline" if fresh_s is None else "fresh"
-                print(f"{workload:<20} {'-':>11} {'-':>9} {'-':>7}  only in {side}")
-                continue
-            if regressed:
-                status = "REGRESSED"
-            elif ratio < 1 / args.speedup_threshold:
-                status = (
-                    f"FASTER ({1 / ratio:.1f}x) — consider re-baselining"
-                )
-                speedups.append(
-                    f"{os.path.basename(fresh_path)}:{workload} ({1 / ratio:.1f}x faster)"
-                )
-            else:
-                status = "ok"
-            print(
-                f"{workload:<20} {baseline_s:>11.4f} {fresh_s:>9.4f} {ratio:>6.2f}x  {status}"
-            )
-            if regressed:
-                failures.append(f"{os.path.basename(fresh_path)}:{workload} ({ratio:.2f}x)")
-        drifts = list(
-            counter_drift(fresh_path, baseline_path, args.drift_threshold)
-        )
-        if drifts:
-            print(
-                f"counter drift beyond {args.drift_threshold}x "
-                "(informational, never gates):"
-            )
-            for workload, key, base_v, fresh_v, ratio in drifts:
-                print(f"  ~ {workload}.{key}: {base_v} -> {fresh_v} ({ratio:.2f}x)")
-        else:
-            print(
-                f"counter drift: none beyond {args.drift_threshold}x (informational)"
-            )
+        with open(fresh_path, encoding="utf-8") as handle:
+            fresh = json.load(handle)
+        with open(baseline_path, encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        label = os.path.basename(fresh_path)
+        failures += [f"{label}: {failure}" for failure in compare(fresh, baseline)]
         print()
-    if speedups:
-        print(
-            f"NOTE: {len(speedups)} workload(s) more than {args.speedup_threshold}x "
-            "faster than baseline — consider re-baselining:"
-        )
-        for speedup in speedups:
-            print(f"  - {speedup}")
     if failures:
-        print(f"FAIL: {len(failures)} workload(s) regressed beyond {args.threshold}x:")
+        print(f"FAIL: {len(failures)} problem(s):")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"OK: no workload regressed beyond {args.threshold}x")
+    print(f"OK: same tiers, sizes and counters; no workload slower than {THRESHOLD}x")
     return 0
 
 
