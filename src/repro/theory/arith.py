@@ -36,17 +36,6 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
   the two cuts are exhaustive over the integers).  An exhausted budget
   degrades to ``unknown`` — the theory stays sound, never complete by
   accident.
-* **Float filter** — every variable keeps a float image of the real
-  part of its exact δ-rational assignment (refreshed at each exact
-  write), and bound values cache a float image on first use.  The
-  bound-violation scan and Bland column selection compare floats first
-  and only fall back to exact ``Fraction`` comparison inside a relative
-  guard band (:data:`_FLOAT_GUARD`): floats *steer* the search to the
-  comparisons that matter, but every decided comparison is provably
-  equal to the exact one (the band dwarfs the 1/2-ulp conversion
-  error), so verdicts never depend on floating point.  Overflowing
-  conversions degrade to ``±inf``, which always lands in the guard band
-  and thus falls back to exact arithmetic.
 * **Backtracking** restores bounds (and the conflict flag) through the
   same undo-log discipline as EUF.  The tableau, the variable
   assignment and all slack definitions persist across ``pop`` — rows
@@ -82,24 +71,6 @@ _ARITH_OPS = ("<", "<=", ">", ">=")
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
-#: Relative guard band for the simplex float filter: a float comparison
-#: whose operands differ by no more than ``_FLOAT_GUARD * (1 + |a| + |b|)``
-#: is treated as undecided and re-run exactly.  The band is ~10⁷ times the
-#: worst-case ``float(Fraction)`` conversion error (1/2 ulp ≈ 1.1e-16
-#: relative), so a float verdict outside the band always matches the
-#: exact one.
-_FLOAT_GUARD = 1e-9
-
-
-def _to_float(value: Fraction) -> float:
-    """Correctly-rounded float image of a rational; ``±inf`` on overflow
-    (always inside the guard band, hence always re-checked exactly)."""
-    try:
-        return float(value)
-    except OverflowError:
-        return float("inf") if value > 0 else float("-inf")
-
-
 def _floor(value: Fraction) -> int:
     return value.numerator // value.denominator
 
@@ -117,25 +88,13 @@ class DeltaRational:
     (addition, subtraction, scaling by :class:`~fractions.Fraction`).
     """
 
-    __slots__ = ("real", "delta", "_freal")
+    __slots__ = ("real", "delta")
 
     def __init__(
         self, real: Union[int, Fraction], delta: Union[int, Fraction] = 0
     ) -> None:
         self.real = Fraction(real)
         self.delta = Fraction(delta)
-
-    @property
-    def freal(self) -> float:
-        """Float image of the real part, cached on first use — what the
-        simplex float filter compares before falling back to exact
-        arithmetic.  ``±inf`` on overflow."""
-        try:
-            return self._freal
-        except AttributeError:
-            image = _to_float(self.real)
-            self._freal = image
-            return image
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
         return DeltaRational(self.real + other.real, self.delta + other.delta)
@@ -206,10 +165,6 @@ class ArithTheory(Theory):
         self._rows: dict[int, dict[int, Fraction]] = {}
         self._cols: dict[int, set[int]] = {}
         self._assign: list[DeltaRational] = []
-        # Float shadow of the real parts of _assign, refreshed at every
-        # exact write.  Assignments are never rolled back by the undo
-        # log, so the shadow needs no undo handling either.
-        self._freal: list[float] = []
         self._lower: dict[int, tuple[DeltaRational, _Lit]] = {}
         self._upper: dict[int, tuple[DeltaRational, _Lit]] = {}
         self._compiled: dict[Term, tuple] = {}
@@ -226,8 +181,6 @@ class ArithTheory(Theory):
             "branches": 0,
             "checks": 0,
             "bb_exhausted": 0,
-            "float_skips": 0,
-            "float_fallbacks": 0,
         }
 
     # -- fragment membership -------------------------------------------------
@@ -285,7 +238,6 @@ class ArithTheory(Theory):
         self._terms.append(term)
         self._is_int.append(is_int)
         self._assign.append(DeltaRational(0))
-        self._freal.append(0.0)
         return index
 
     def _var_index(self, symbol: Symbol) -> int:
@@ -346,7 +298,6 @@ class ArithTheory(Theory):
                         row[column] = updated
         slack = self._new_var(None, is_int)
         self._assign[slack] = value
-        self._freal[slack] = _to_float(value.real)
         self._rows[slack] = row
         for column in row:
             self._cols.setdefault(column, set()).add(slack)
@@ -444,162 +395,86 @@ class ArithTheory(Theory):
 
     def _update(self, var: int, value: DeltaRational) -> None:
         """Move a non-basic variable, carrying every dependent basic."""
-        assign, freal = self._assign, self._freal
+        assign = self._assign
         delta = value - assign[var]
         for basic in self._cols.get(var, ()):
-            moved = assign[basic] + delta.scaled(self._rows[basic][var])
-            assign[basic] = moved
-            freal[basic] = _to_float(moved.real)
+            assign[basic] = assign[basic] + delta.scaled(self._rows[basic][var])
         assign[var] = value
-        freal[var] = _to_float(value.real)
 
     # -- the simplex core ----------------------------------------------------
 
     def _below_upper(self, var: int) -> bool:
-        """Strictly below the upper bound?  Float-filtered: the shadow
-        decides outside the guard band, exact δ-rationals inside it."""
+        """Strictly below the upper bound?"""
         bound = self._upper.get(var)
-        if bound is None:
-            return True
-        af = self._freal[var]
-        bf = bound[0].freal
-        band = _FLOAT_GUARD * (1.0 + abs(af) + abs(bf))
-        diff = bf - af
-        if diff > band:
-            self.stats["float_skips"] += 1
-            return True
-        if diff < -band:
-            self.stats["float_skips"] += 1
-            return False
-        self.stats["float_fallbacks"] += 1
-        return self._assign[var] < bound[0]
+        return bound is None or self._assign[var] < bound[0]
 
     def _above_lower(self, var: int) -> bool:
-        """Strictly above the lower bound?  Float-filtered like
-        :meth:`_below_upper`."""
+        """Strictly above the lower bound?"""
         bound = self._lower.get(var)
-        if bound is None:
-            return True
-        af = self._freal[var]
-        bf = bound[0].freal
-        band = _FLOAT_GUARD * (1.0 + abs(af) + abs(bf))
-        diff = af - bf
-        if diff > band:
-            self.stats["float_skips"] += 1
-            return True
-        if diff < -band:
-            self.stats["float_skips"] += 1
-            return False
-        self.stats["float_fallbacks"] += 1
-        return self._assign[var] > bound[0]
+        return bound is None or self._assign[var] > bound[0]
 
     def _simplex(self) -> Optional[list[_Lit]]:
         """Pivot to feasibility; ``None`` when feasible, otherwise the
-        infeasibility explanation (a list of bound literals).
-
-        The violated-row scan runs on the float shadow: a row whose float
-        image sits decisively inside (or outside) its bounds never touches
-        exact arithmetic; only comparisons inside the guard band re-run on
-        the δ-rationals.  Floats pick where to look — every verdict that
-        reaches the caller is exact."""
-        freal = self._freal
-        guard = _FLOAT_GUARD
-        skips = 0
-        fallbacks = 0
-        try:
-            while True:
-                violated: Optional[tuple[int, bool]] = None
-                for basic in sorted(self._rows):
-                    af = freal[basic]
-                    low = self._lower.get(basic)
-                    if low is not None:
-                        bf = low[0].freal
-                        band = guard * (1.0 + abs(af) + abs(bf))
-                        diff = af - bf
-                        if diff < -band:
-                            skips += 1
-                            violated = (basic, True)
-                            break
-                        if diff <= band:
-                            fallbacks += 1
-                            if self._assign[basic] < low[0]:
-                                violated = (basic, True)
-                                break
-                        else:
-                            skips += 1
-                    high = self._upper.get(basic)
-                    if high is not None:
-                        bf = high[0].freal
-                        band = guard * (1.0 + abs(af) + abs(bf))
-                        diff = af - bf
-                        if diff > band:
-                            skips += 1
-                            violated = (basic, False)
-                            break
-                        if diff >= -band:
-                            fallbacks += 1
-                            if self._assign[basic] > high[0]:
-                                violated = (basic, False)
-                                break
-                        else:
-                            skips += 1
-                if violated is None:
-                    return None
-                basic, need_increase = violated
-                row = self._rows[basic]
-                chosen: Optional[int] = None
-                for column in sorted(row):  # Bland's rule: smallest index
-                    coeff = row[column]
-                    if need_increase:
-                        suitable = (coeff > 0 and self._below_upper(column)) or (
-                            coeff < 0 and self._above_lower(column)
-                        )
-                    else:
-                        suitable = (coeff < 0 and self._below_upper(column)) or (
-                            coeff > 0 and self._above_lower(column)
-                        )
-                    if suitable:
-                        chosen = column
-                        break
-                if chosen is None:
-                    # Every row variable is at its limiting bound: the row is
-                    # an inconsistent combination of exactly these bounds.
-                    if need_increase:
-                        explanation = [self._lower[basic][1]]
-                        for column in sorted(row):
-                            side = self._upper if row[column] > 0 else self._lower
-                            explanation.append(side[column][1])
-                    else:
-                        explanation = [self._upper[basic][1]]
-                        for column in sorted(row):
-                            side = self._lower if row[column] > 0 else self._upper
-                            explanation.append(side[column][1])
-                    return explanation
-                target = (
-                    self._lower[basic][0] if need_increase else self._upper[basic][0]
-                )
-                self._pivot_and_update(basic, chosen, target)
-                self.stats["pivots"] += 1
-        finally:
-            self.stats["float_skips"] += skips
-            self.stats["float_fallbacks"] += fallbacks
+        infeasibility explanation (a list of bound literals)."""
+        assign, lower, upper = self._assign, self._lower, self._upper
+        while True:
+            violated: Optional[tuple[int, bool]] = None
+            for basic in sorted(self._rows):
+                low = lower.get(basic)
+                if low is not None and assign[basic] < low[0]:
+                    violated = (basic, True)
+                    break
+                high = upper.get(basic)
+                if high is not None and assign[basic] > high[0]:
+                    violated = (basic, False)
+                    break
+            if violated is None:
+                return None
+            basic, need_increase = violated
+            row = self._rows[basic]
+            chosen: Optional[int] = None
+            for column in sorted(row):  # Bland's rule: smallest index
+                coeff = row[column]
+                if need_increase:
+                    suitable = (coeff > 0 and self._below_upper(column)) or (
+                        coeff < 0 and self._above_lower(column)
+                    )
+                else:
+                    suitable = (coeff < 0 and self._below_upper(column)) or (
+                        coeff > 0 and self._above_lower(column)
+                    )
+                if suitable:
+                    chosen = column
+                    break
+            if chosen is None:
+                # Every row variable is at its limiting bound: the row is
+                # an inconsistent combination of exactly these bounds.
+                if need_increase:
+                    explanation = [lower[basic][1]]
+                    for column in sorted(row):
+                        side = upper if row[column] > 0 else lower
+                        explanation.append(side[column][1])
+                else:
+                    explanation = [upper[basic][1]]
+                    for column in sorted(row):
+                        side = lower if row[column] > 0 else upper
+                        explanation.append(side[column][1])
+                return explanation
+            target = lower[basic][0] if need_increase else upper[basic][0]
+            self._pivot_and_update(basic, chosen, target)
+            self.stats["pivots"] += 1
 
     def _pivot_and_update(self, basic: int, entering: int, value: DeltaRational) -> None:
         row = self._rows[basic]
         coeff = row[entering]
-        assign, freal = self._assign, self._freal
+        assign = self._assign
         theta = (value - assign[basic]).scaled(Fraction(1) / coeff)
         # Assignments first (they need the old column index).
         assign[basic] = value
-        freal[basic] = _to_float(value.real)
         for other in self._cols.get(entering, ()):
             if other != basic:
-                moved = assign[other] + theta.scaled(self._rows[other][entering])
-                assign[other] = moved
-                freal[other] = _to_float(moved.real)
-        entered = assign[entering] + theta
-        assign[entering] = entered
-        freal[entering] = _to_float(entered.real)
+                assign[other] = assign[other] + theta.scaled(self._rows[other][entering])
+        assign[entering] = assign[entering] + theta
         # Structural pivot: solve ``basic``'s row for ``entering`` ...
         del self._rows[basic]
         for column in row:
@@ -643,9 +518,10 @@ class ArithTheory(Theory):
         self._undo_to(self._internal_marks.pop())
 
     #: Branch-and-bound recursion cap: each node is one Python stack
-    #: frame, so the depth must stay well below the *default*
-    #: interpreter recursion limit (1000) — library callers do not get
-    #: the CLI's raised limit.  Deeper searches degrade to ``unknown``.
+    #: frame.  ``Engine.run`` raises the recursion limit for every
+    #: caller, but code that drives ``ArithTheory`` directly runs under
+    #: the *default* limit (1000), so the depth stays well below it.
+    #: Deeper searches degrade to ``unknown``.
     _DEPTH_LIMIT = 200
 
     def _branch(

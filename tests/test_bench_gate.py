@@ -2,9 +2,10 @@
 
 ``benchmarks/check_regression.py`` must refuse a baseline from another
 tier, a workload run at another size and a counter that moved at all,
-and must fail a wall-clock regression above its threshold.  One real
-``bench_sat`` smoke run, driven in-process through the shared harness,
-must pass the gate against the committed baseline.
+and must fail a wall-clock regression above its threshold.  Real
+``bench_sat``, ``bench_arith`` and ``bench_smt`` smoke runs, driven
+in-process through the shared harness, must pass the gate against the
+committed baselines, exact search counters included.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import pytest
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
 
+import bench_arith  # noqa: E402
 import bench_sat  # noqa: E402
+import bench_smt  # noqa: E402
 import check_regression  # noqa: E402
 import harness  # noqa: E402
 
@@ -93,16 +96,21 @@ def test_missing_fresh_result_for_discovered_baseline_fails(tmp_path, monkeypatc
     assert check_regression.main(["--baseline-dir", str(baseline_dir)]) == 1
 
 
-def test_bench_sat_smoke_passes_gate_against_committed_baseline(tmp_path):
-    out = tmp_path / "BENCH_sat.json"
+@pytest.mark.parametrize(
+    "suite, names",
+    [
+        (bench_sat, ["pigeonhole", "random_3sat", "xor_chain_sat", "xor_chain_unsat"]),
+        (bench_arith, ["dense_simplex", "sparse_simplex", "branch_bound", "diamond_lra"]),
+        (bench_smt, ["euf_orbit", "euf_pigeonhole", "euf_model", "incremental"]),
+    ],
+    ids=["sat", "arith", "smt"],
+)
+def test_bench_smoke_passes_gate_against_committed_baseline(tmp_path, suite, names):
+    bench = suite.__name__.removeprefix("bench_")
+    out = tmp_path / f"BENCH_{bench}.json"
     argv = ["--mode", "smoke", "--out", str(out)]
-    assert harness.main("sat", bench_sat.MODE_SIZES, bench_sat.workloads, bench_sat.COLUMNS, argv) == 0
+    assert harness.main(bench, suite.MODE_SIZES, suite.workloads, suite.COLUMNS, argv) == 0
     fresh = json.loads(out.read_text(encoding="utf-8"))
     assert fresh["mode"] == "smoke"
-    assert [row["workload"] for row in fresh["results"]] == [
-        "pigeonhole",
-        "random_3sat",
-        "xor_chain_sat",
-        "xor_chain_unsat",
-    ]
+    assert [row["workload"] for row in fresh["results"]] == names
     assert check_regression.main([str(out)]) == 0

@@ -313,6 +313,24 @@ class TestArithTheoryDirect:
         assert theory.incomplete_reason() == "branch-budget-exhausted"
         assert theory.stats["bb_exhausted"] == 1
 
+    @pytest.mark.parametrize(
+        "texts, unsat",
+        [
+            # max u + v = 3 - 1e-12, a hair short of the lower bound 3.
+            (("(>= (+ u v) 3.0)", "(<= u 1.0)", "(<= v 1.999999999999)"), True),
+            # u + v = 6 - 1e-12 sits a hair under the upper bound 6.
+            (("(<= (+ u v) 6.0)", "(>= u 3.0)", "(>= v 2.999999999999)"), False),
+        ],
+        ids=["short-of-lower-unsat", "under-upper-sat"],
+    )
+    def test_row_a_hair_from_its_bound_is_decided_exactly(self, texts, unsat):
+        theory = ArithTheory()
+        literals = [atom(text) for text in texts]
+        for literal in literals[:-1]:
+            assert theory.assert_literal(literal, True) is None
+        outcome = theory.assert_literal(literals[-1], True) or theory.check()
+        assert (outcome is not None) == unsat
+
     def test_deep_branching_never_blows_the_stack(self):
         # Wide integer boxes with near-parallel coefficients force long
         # branch-and-bound chains; at the default interpreter recursion
@@ -645,3 +663,36 @@ class TestEngineArith:
         )
         assert result.answers == ["sat"]
         assert result.output[1] == "((u (/ 1.0 3.0)))"
+
+    def test_diamond_search_does_not_depend_on_symbol_names(self):
+        """An 8-layer diamond LRA chain (``d_{i+1}`` is ``d_i + 1`` or
+        ``d_i + 2``, final window [9, 16]) solved as written and with
+        ``d0 … d8`` renamed by a fixed permutation: same answer, same
+        SAT and simplex counters."""
+
+        def diamond(names):
+            lines = [f"(declare-const {name} Real)" for name in names]
+            lines += [f"(assert (>= {names[0]} 0.0))", f"(assert (<= {names[0]} 0.0))"]
+            for prev, succ in zip(names, names[1:]):
+                steps = [
+                    f"(and (<= {succ} (+ {prev} {k}.0)) (>= {succ} (+ {prev} {k}.0)))"
+                    for k in (1, 2)
+                ]
+                lines.append(f"(assert (or {steps[0]} {steps[1]}))")
+            lines += [f"(assert (>= {names[-1]} 9.0))", f"(assert (<= {names[-1]} 16.0))"]
+            return "\n".join(lines + ["(check-sat)"])
+
+        def search(names):
+            result = check_one(diamond(names))
+            counters = {
+                key: value
+                for key, value in result.metrics.items()
+                if key.startswith(("sat.", "theory.arith."))
+            }
+            return result.answer, counters
+
+        written = search([f"d{i}" for i in range(9)])
+        renamed = search([f"d{i}" for i in (3, 7, 0, 5, 8, 1, 6, 2, 4)])
+        assert written[0] == "sat"
+        assert written[1]["theory.arith.pivots"] > 0
+        assert renamed == written
