@@ -11,13 +11,16 @@ to stderr, and with ``--strict-status`` also fails the run.
 
 Observability flags:
 
-* ``--stats`` prints the per-``check-sat`` solver counters (conflicts,
-  propagations, restarts, theory lemmas, Tseitin reuse ...) as comment
-  lines.
+* ``--stats`` prints each ``check-sat``'s namespaced counters
+  (``sat.conflicts``, ``theory.arith.pivots``, ``engine.tseitin_new_vars``
+  ...; ``CheckSatResult.stats``, i.e. the metrics delta without the
+  process-wide ``intern.*`` keys) as one comment line
+  ``; check-sat #i: <answer>[ reason=R] (key=value, ...)`` in sorted key
+  order.
 * ``--stats-json`` replaces the normal solver output with **one** JSON
-  document covering every input file — per-check legacy ``stats``,
-  namespaced ``metrics`` deltas, per-phase nanoseconds and a final
-  whole-run registry snapshot — so the output pipes straight into
+  document covering every input file — per-check namespaced ``metrics``
+  deltas, per-phase nanoseconds and a final whole-run registry
+  snapshot — so the output pipes straight into
   ``python -m json.tool`` or ``jq``.  Warnings and ``--profile`` tables
   move to stderr.
 * ``--trace FILE`` streams the structured search-event log (decisions,
@@ -132,7 +135,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--stats-json",
         action="store_true",
-        help="print one JSON document (per-check stats, namespaced metrics, "
+        help="print one JSON document (per-check namespaced metrics, "
         "phase timings) instead of the solver output",
     )
     parser.add_argument(
@@ -172,6 +175,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="exit non-zero when an answer contradicts (set-info :status ...)",
     )
     args = parser.parse_args(argv)
+    if args.portfolio is not None and args.portfolio < 1:
+        parser.error(f"--portfolio must be at least 1, got {args.portfolio}")
+    for flag, value in (("--conflict-limit", args.conflict_limit), ("--timeout", args.timeout)):
+        if value is not None and not value >= 0:
+            parser.error(f"{flag} must not be negative, got {value}")
 
     racing = args.portfolio is not None and args.portfolio > 1
     if racing and (args.dimacs is not None or args.trace is not None):
@@ -322,7 +330,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                                 "answer": check.answer,
                                 "reason": check.reason,
                                 "expected": check.expected,
-                                "stats": check.stats,
                                 "metrics": check.metrics,
                                 "phases": check.phases,
                                 "proof_steps": (

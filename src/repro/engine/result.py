@@ -20,19 +20,21 @@ class CheckSatResult:
     exactly the terms a ``sat`` model is guaranteed to satisfy under
     :func:`~repro.smtlib.evaluate.evaluate` (pass ``fun_interps`` as its
     ``funs`` argument when uninterpreted functions are involved).
-    ``reason`` explains an ``unknown`` answer.  ``stats`` carries
-    per-check solver counters, CNF shape (``vars``, ``clauses``,
-    ``atoms``), incremental-encoding counters (``tseitin_new_vars``,
-    ``tseitin_new_clauses``, ``encoded_assertions``) and per-plugin
-    theory counters (``euf_*``: merges, conflicts ...; ``arith_*``:
-    pivots, branches ...).  ``expected`` records the script's
-    ``(set-info :status ...)`` annotation, when present.
+    ``reason`` explains an ``unknown`` answer.  ``expected`` records the
+    script's ``(set-info :status ...)`` annotation, when present.
 
-    ``metrics`` is the same information through the unified registry: a
-    namespaced per-check snapshot delta (``sat.conflicts``,
-    ``theory.arith.pivots``, ``intern.hits``, ``engine.guard_clauses``
-    ...) — ``stats`` is derived from it and kept for backward
-    compatibility.  ``phases`` carries per-phase wall-clock in
+    ``metrics`` is the per-check counter surface: a namespaced snapshot
+    delta of the engine's metrics registry — SAT-core counters
+    (``sat.conflicts``, ``sat.propagations`` ...), per-plugin theory
+    counters (``theory.arith.pivots``, ``theory.euf.merges`` ...), proof
+    counters (``proof.rup_steps`` ...) when proofs are on, the intern
+    table (``intern.hits`` ...) and the engine's own (``engine.vars``,
+    ``engine.atoms``, ``engine.clauses_shipped``, ``engine.trivial``
+    and the incremental-encoding counters ``engine.tseitin_new_vars``,
+    ``engine.tseitin_new_clauses``, ``engine.encoded_assertions``).
+    ``stats`` is the same dict without the ``intern.*`` keys, which
+    describe the process-wide intern table rather than the check; it is
+    what ``--stats`` prints.  ``phases`` carries per-phase wall-clock in
     nanoseconds keyed by span path (``prepare``, ``search``,
     ``search/theory-check`` ...) when the engine ran with a tracer, else
     it is empty.
@@ -51,12 +53,20 @@ class CheckSatResult:
     fun_interps: Optional[dict[str, FunctionInterpretation]] = None
     assertions: tuple[Term, ...] = ()
     reason: Optional[str] = None
-    stats: dict[str, int] = field(default_factory=dict)
     expected: Optional[str] = None
     metrics: dict[str, int] = field(default_factory=dict)
     phases: dict[str, int] = field(default_factory=dict)
     proof: Optional[Proof] = None
     unsat_core: Optional[tuple[str, ...]] = None
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """``metrics`` without the process-wide ``intern.*`` keys."""
+        return {
+            key: value
+            for key, value in self.metrics.items()
+            if not key.startswith("intern.")
+        }
 
     @property
     def contradicts_expected(self) -> bool:

@@ -12,7 +12,7 @@ the whole run:
   (which may mention selectors) stay valid and keep pruning later checks.
 * The encoder's node → literal memo is keyed on hash-consed terms, so a
   ``check-sat`` after ``push``/``pop`` re-encodes **nothing** for
-  unchanged assertions (the ``tseitin_new_vars`` statistic is 0).
+  unchanged assertions (the ``engine.tseitin_new_vars`` metric is 0).
 * Theory reasoning is layered in through :class:`repro.sat.TheoryHook`:
   the hook keeps a :class:`~repro.theory.TheoryComposite` — linear
   arithmetic (:class:`~repro.theory.ArithTheory`) routed ahead of
@@ -297,6 +297,11 @@ class Engine:
         self._guard_clauses = 0
         self._retired_selectors = 0
         self._checks_run = 0
+        self._trivial_checks = 0
+        self._tseitin_new_vars = 0
+        self._tseitin_new_clauses = 0
+        self._encoded_assertions = 0
+        self._active_atoms = 0
         self._last: Optional[CheckSatResult] = None
         self._status: Optional[str] = None
         self._produce_cores = self._produce_cores_default
@@ -309,7 +314,7 @@ class Engine:
         metrics.register_source(
             "engine",
             self._engine_counters,
-            gauges=("vars", "learned_db", "frames"),
+            gauges=("vars", "learned_db", "frames", "atoms"),
         )
 
     def _enable_proofs(self) -> None:
@@ -338,7 +343,12 @@ class Engine:
             "guard_clauses": self._guard_clauses,
             "retired_selectors": self._retired_selectors,
             "checks": self._checks_run,
+            "trivial": self._trivial_checks,
+            "tseitin_new_vars": self._tseitin_new_vars,
+            "tseitin_new_clauses": self._tseitin_new_clauses,
+            "encoded_assertions": self._encoded_assertions,
             "vars": self._registry.num_vars,
+            "atoms": self._active_atoms,
             "learned_db": self._solver.num_learnts,
             "frames": len(self._frames),
         }
@@ -508,19 +518,16 @@ class Engine:
                 with trace_span("simplify", merge=True):
                     frame.simplified.append(simplify(term))
 
-    def _encode_frames(self) -> tuple[int, int, int]:
-        """Encode assertions added since the last check; returns the
-        ``(new roots, new vars, new clauses)`` statistics triple.
+    def _encode_frames(self) -> None:
+        """Encode assertions added since the last check, counting the new
+        roots, variables and clauses into ``engine.encoded_assertions``,
+        ``engine.tseitin_new_vars`` and ``engine.tseitin_new_clauses``.
 
-        ``new clauses`` counts only the drained Tseitin gate clauses —
-        the per-assertion selector guards ``(¬sel ∨ root)`` are engine
-        bookkeeping, tallied separately as ``engine.guard_clauses`` (the
-        pre-registry plumbing folded them into ``tseitin_new_clauses``,
-        overstating the encoder's output by one clause per root).
+        ``tseitin_new_clauses`` counts only the drained Tseitin gate
+        clauses — the per-assertion selector guards ``(¬sel ∨ root)`` are
+        engine bookkeeping, tallied separately as ``engine.guard_clauses``.
         """
         vars_before = self._registry.num_vars
-        new_roots = 0
-        new_clauses = 0
         for frame in self._frames:
             if frame.selector is None:
                 frame.selector = self._registry.new_selector()
@@ -545,10 +552,10 @@ class Engine:
                 nnf = to_nnf(term)
                 root = self._registry.encode(nnf)
                 frame.atom_lists.append(tuple(skeleton_atoms(nnf)))
-                new_roots += 1
+                self._encoded_assertions += 1
                 for clause in self._registry.drain_clauses():
                     self._add_clause(clause)
-                    new_clauses += 1
+                    self._tseitin_new_clauses += 1
                 name = frame.names[index]
                 guard = frame.selector
                 if name is not None:
@@ -560,7 +567,7 @@ class Engine:
                 self._guard_clauses += 1
                 self._add_clause((-guard, root))
         self._solver.ensure_vars(self._registry.num_vars)
-        return (new_roots, self._registry.num_vars - vars_before, new_clauses)
+        self._tseitin_new_vars += self._registry.num_vars - vars_before
 
     def _encode_lemma_atom(self, atom: Term) -> int:
         """Allocate a SAT variable for an atom a theory lemma introduced
@@ -600,21 +607,6 @@ class Engine:
         return cached
 
     # -- the check-sat pipeline ---------------------------------------------
-
-    @staticmethod
-    def _legacy_stats(delta: dict[str, int]) -> dict[str, int]:
-        """Flatten a namespaced metrics delta into the pre-registry
-        ``CheckSatResult.stats`` key shape: ``sat.X`` → ``X`` and
-        ``theory.<plugin>.X`` → ``<plugin>_X``.  ``intern.*`` and
-        ``engine.*`` are registry-era additions with no legacy alias."""
-        stats: dict[str, int] = {}
-        for key, value in delta.items():
-            if key.startswith("sat."):
-                stats[key[4:]] = value
-            elif key.startswith("theory."):
-                plugin, _, counter = key[7:].partition(".")
-                stats[f"{plugin}_{counter}"] = value
-        return stats
 
     def _check_sat(self) -> CheckSatResult:
         index = self._checks_run
@@ -663,24 +655,14 @@ class Engine:
             term is FALSE for frame in self._frames for term in frame.simplified
         ):
             # Nothing ran, so the delta is all-zero for the solver
-            # counters — exactly the legacy zero-fill shape.
+            # counters.
+            self._trivial_checks += 1
+            self._active_atoms = 0
             delta = metrics.delta(before)
-            stats = self._legacy_stats(delta)
-            stats.update(
-                vars=0,
-                clauses=0,
-                atoms=0,
-                trivial=1,
-                tseitin_new_vars=0,
-                tseitin_new_clauses=0,
-                encoded_assertions=0,
-                learned_db=self._solver.num_learnts,
-            )
             proof, core = self._trivial_unsat_artifacts()
             return CheckSatResult(
                 "unsat",
                 assertions=active_prepared,
-                stats=stats,
                 expected=expected,
                 metrics=delta,
                 proof=proof,
@@ -688,7 +670,7 @@ class Engine:
             )
 
         with trace_span("encode"):
-            new_roots, new_vars, new_clauses = self._encode_frames()
+            self._encode_frames()
         active_atoms: list[Term] = []
         seen_atoms: set[Term] = set()
         for frame in self._frames:
@@ -697,6 +679,7 @@ class Engine:
                     if atom not in seen_atoms:
                         seen_atoms.add(atom)
                         active_atoms.append(atom)
+        self._active_atoms = len(active_atoms)
 
         uninterpreted = frozenset(
             name for frame in self._frames for name in frame.funs
@@ -741,7 +724,7 @@ class Engine:
         if theory is not None:
             # Register after the `before` snapshot: the plugins are fresh,
             # so the delta reports their counters as absolute per-check
-            # values (what the legacy prefix-merge reported).
+            # values.
             theory.register_metrics(metrics)
 
         # _encode_frames allocated every selector; the filter is for typing.
@@ -762,17 +745,6 @@ class Engine:
                 interrupt=self._interrupt,
             )
         delta = metrics.delta(before)
-        stats = self._legacy_stats(delta)
-        stats.update(
-            vars=self._registry.num_vars,
-            clauses=self._clauses_shipped,
-            atoms=len(active_atoms),
-            trivial=0,
-            tseitin_new_vars=new_vars,
-            tseitin_new_clauses=new_clauses,
-            encoded_assertions=new_roots,
-            learned_db=self._solver.num_learnts,
-        )
 
         def outcome(
             kind: str,
@@ -788,7 +760,6 @@ class Engine:
                 fun_interps=fun_interps,
                 assertions=active_prepared,
                 reason=reason,
-                stats=stats,
                 expected=expected,
                 metrics=delta,
                 proof=proof,

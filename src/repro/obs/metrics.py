@@ -1,157 +1,43 @@
 """The unified metrics registry.
 
 One :class:`MetricsRegistry` gives every layer of the solver a single,
-namespaced counter surface.  Three primitive instruments cover the
-existing needs:
-
-* :class:`Counter` — a monotonically increasing integer (``decisions``,
-  ``conflicts``, ``guard_clauses`` ...).  Deltas between snapshots are
-  meaningful.
-* :class:`Gauge` — a point-in-time level (``learned_db``, intern-table
-  ``live`` nodes).  Snapshots report the current value; deltas keep the
-  *after* value rather than subtracting.
-* :class:`Timer` — a monotonic wall-clock accumulator over
-  :func:`time.perf_counter_ns`, reported as ``<name>_ns`` /
-  ``<name>_count`` pairs.
-
-Hot loops (the CDCL inner loop, congruence closure) keep their plain
-``dict`` counters — wrapping every increment in an object call would tax
-the hottest paths.  Instead the registry *absorbs* those surfaces as
-**sources**: :meth:`MetricsRegistry.register_source` takes a namespace
-and a zero-argument supplier returning a mapping, and every
+namespaced counter surface.  Hot loops (the CDCL inner loop, congruence
+closure) keep their plain ``dict`` counters — wrapping every increment
+in an object call would tax the hottest paths.  Instead the registry
+*absorbs* those surfaces as **sources**:
+:meth:`MetricsRegistry.register_source` takes a namespace and a
+zero-argument supplier returning a mapping, and every
 :meth:`~MetricsRegistry.snapshot` folds the supplier's entries in under
 ``<namespace>.<key>``.  This is how ``SatSolver.stats`` (``sat.*``),
-per-plugin ``Theory.stats`` (``theory.euf.*``, ``theory.arith.*``) and
+per-plugin ``Theory.stats`` (``theory.euf.*``, ``theory.arith.*``), the
+engine's own counters (``engine.*``) and
 :func:`repro.smtlib.terms.intern_stats` (``intern.*``) unify behind one
 API without touching their increment sites.
 
-Snapshots are plain ``dict[str, int]`` and therefore JSON-ready;
-:meth:`MetricsRegistry.delta` subtracts two snapshots counter-wise while
-letting gauge-marked keys keep their absolute value — the engine's
-per-``check-sat`` statistics are exactly such a delta.
+A source names the keys that are levels (``learned_db``, intern-table
+``live`` nodes) rather than monotonic counters.  Snapshots are plain
+``dict[str, int]`` and therefore JSON-ready; :meth:`MetricsRegistry.delta`
+subtracts two snapshots counter-wise while letting level keys keep their
+absolute value — the engine's per-``check-sat`` metrics are exactly such
+a delta.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, Mapping, Optional
 
 
-class Counter:
-    """A monotonically increasing integer instrument."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only move forward; use a Gauge")
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time level (absolute, not delta-able)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def set(self, value: int) -> None:
-        self.value = value
-
-
-class Timer:
-    """A monotonic wall-clock accumulator (``perf_counter_ns``).
-
-    Use as a context-manager factory::
-
-        with registry.timer("engine.encode").time():
-            ...
-
-    ``total_ns`` and ``count`` accumulate across activations; nested or
-    overlapping activations are supported (each holds its own start
-    stamp).
-    """
-
-    __slots__ = ("total_ns", "count")
-
-    def __init__(self) -> None:
-        self.total_ns = 0
-        self.count = 0
-
-    def add_ns(self, elapsed_ns: int) -> None:
-        if elapsed_ns < 0:
-            raise ValueError("timers are monotonic; negative spans are bugs")
-        self.total_ns += elapsed_ns
-        self.count += 1
-
-    def time(self) -> "_Timing":
-        return _Timing(self)
-
-
-class _Timing:
-    """One timer activation; records on exit."""
-
-    __slots__ = ("_timer", "_start")
-
-    def __init__(self, timer: Timer) -> None:
-        self._timer = timer
-        self._start = 0
-
-    def __enter__(self) -> "_Timing":
-        self._start = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._timer.add_ns(time.perf_counter_ns() - self._start)
-
-
 class MetricsRegistry:
-    """Namespaced counters, gauges, timers and absorbed stat sources.
+    """Namespaced stat sources behind one snapshot/delta API.
 
-    Instrument names are dotted paths (``engine.guard_clauses``); a name
-    identifies exactly one instrument kind for the registry's lifetime.
     Sources are registered per namespace and may be re-registered (the
     engine re-binds its solver source on every reset) or unregistered.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, Timer] = {}
         self._sources: dict[
             str, tuple[Callable[[], Mapping[str, int]], frozenset[str]]
         ] = {}
-
-    # -- instruments ---------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            self._claim(name)
-            instrument = self._counters[name] = Counter()
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            self._claim(name)
-            instrument = self._gauges[name] = Gauge()
-        return instrument
-
-    def timer(self, name: str) -> Timer:
-        instrument = self._timers.get(name)
-        if instrument is None:
-            self._claim(name)
-            instrument = self._timers[name] = Timer()
-        return instrument
-
-    def _claim(self, name: str) -> None:
-        if name in self._counters or name in self._gauges or name in self._timers:
-            raise ValueError(f"metric name already bound to another kind: {name!r}")
 
     # -- absorbed sources ----------------------------------------------------
 
@@ -182,13 +68,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, int]:
         """Flatten everything into one ``name -> value`` mapping."""
         out: dict[str, int] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
-        for name, timer in self._timers.items():
-            out[f"{name}_ns"] = timer.total_ns
-            out[f"{name}_count"] = timer.count
         for namespace, (supplier, _) in self._sources.items():
             for key, value in supplier().items():
                 out[f"{namespace}.{key}"] = value
@@ -196,11 +75,11 @@ class MetricsRegistry:
 
     def gauge_keys(self) -> frozenset[str]:
         """Snapshot keys whose values are levels, not counters."""
-        keys = set(self._gauges)
-        for namespace, (_, gauges) in self._sources.items():
-            for key in gauges:
-                keys.add(f"{namespace}.{key}")
-        return frozenset(keys)
+        return frozenset(
+            f"{namespace}.{key}"
+            for namespace, (_, gauges) in self._sources.items()
+            for key in gauges
+        )
 
     def delta(
         self,
@@ -220,4 +99,4 @@ class MetricsRegistry:
         }
 
 
-__all__ = ["Counter", "Gauge", "Timer", "MetricsRegistry"]
+__all__ = ["MetricsRegistry"]

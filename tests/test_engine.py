@@ -11,6 +11,7 @@ Two acceptance properties from the issue are enforced here:
 
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -186,10 +187,16 @@ class TestAnswers:
     def test_assert_false_is_trivially_unsat(self):
         result = solve_script("(assert false)\n(check-sat)")[0]
         assert result.answer == "unsat"
-        assert result.stats["trivial"] == 1
-        # The stats contract holds even on the trivial path.
-        for key in ("conflicts", "decisions", "vars", "clauses", "atoms"):
-            assert result.stats[key] == 0
+        assert result.metrics["engine.trivial"] == 1
+        # The counters are present, and zero, even on the trivial path.
+        for key in (
+            "sat.conflicts",
+            "sat.decisions",
+            "engine.vars",
+            "engine.clauses_shipped",
+            "engine.atoms",
+        ):
+            assert result.metrics[key] == 0
 
     def test_empty_assertions_are_sat(self):
         result = solve_script("(check-sat)")[0]
@@ -511,3 +518,54 @@ class TestCli:
         status, _, err = self.run_cli(capsys, str(tmp_path / "absent.smt2"))
         assert status == 1
         assert "(error" in err
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "status"),
+        [
+            ("--portfolio", "0", 2),
+            ("--portfolio", "-3", 2),
+            ("--conflict-limit", "-5", 2),
+            ("--timeout", "-1", 2),
+            ("--timeout", "nan", 2),
+            ("--portfolio", "1", 0),
+            ("--conflict-limit", "0", 0),
+            ("--timeout", "0", 0),
+        ],
+    )
+    def test_numeric_option_ranges(self, capsys, tmp_path, flag, value, status):
+        path = tmp_path / "a.smt2"
+        path.write_text("(declare-const p Bool)\n(assert p)\n(check-sat)\n")
+        try:
+            code, _, err = self.run_cli(capsys, str(path), flag, value)
+        except SystemExit as exc:
+            code, err = exc.code, capsys.readouterr().err
+        assert code == status
+        if status == 2:
+            assert flag in err
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+    def test_stats_lines_are_the_check_stats(self, capsys, path):
+        """The ``--stats`` line grammar the end-to-end benchmark parses:
+        ``; check-sat #i: <answer>[ reason=R] (key=<int>, ...)``."""
+        line_shape = re.compile(
+            r"; check-sat #(\d+): (sat|unsat|unknown)(?: reason=(\S+))? \((.*)\)"
+        )
+        pair_shape = re.compile(r"[\w.]+=-?\d+")
+        checks = run_script(path.read_text()).check_results
+        runs = []
+        for _ in range(2):
+            _status, out, _err = self.run_cli(capsys, str(path), "--stats")
+            runs.append([line for line in out.splitlines() if line.startswith("; check-sat #")])
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == len(checks)
+        for index, (line, check) in enumerate(zip(runs[0], checks)):
+            match = line_shape.fullmatch(line)
+            assert match is not None, line
+            assert int(match.group(1)) == index
+            assert (match.group(2), match.group(3)) == (check.answer, check.reason)
+            pairs = match.group(4).split(", ")
+            assert all(pair_shape.fullmatch(pair) for pair in pairs), line
+            stats = {key: int(value) for key, value in (pair.split("=") for pair in pairs)}
+            assert list(stats) == sorted(stats)
+            assert stats == check.stats
+            assert not any(key.startswith("intern.") for key in stats)

@@ -9,7 +9,8 @@ Covers the PR-4 acceptance criteria directly:
   reattachment,
 * theory-hook lemma injection at partial and full assignments,
 * learned-clause retention across consecutive ``check-sat`` calls,
-* zero Tseitin re-encoding of unchanged assertions (via stats),
+* zero Tseitin re-encoding of unchanged assertions (via the
+  ``engine.*`` metrics),
 * push/pop soundness cross-checked against a fresh solver per query on
   randomized scripts.
 """
@@ -239,11 +240,11 @@ class TestIncrementalEngine:
         )
         first, second = engine.run(script).check_results
         assert first.answer == second.answer == "sat"
-        assert first.stats["encoded_assertions"] == 2
-        assert first.stats["tseitin_new_vars"] > 0
-        assert second.stats["encoded_assertions"] == 0
-        assert second.stats["tseitin_new_vars"] == 0
-        assert second.stats["tseitin_new_clauses"] == 0
+        assert first.metrics["engine.encoded_assertions"] == 2
+        assert first.metrics["engine.tseitin_new_vars"] > 0
+        assert second.metrics["engine.encoded_assertions"] == 0
+        assert second.metrics["engine.tseitin_new_vars"] == 0
+        assert second.metrics["engine.tseitin_new_clauses"] == 0
 
     def test_push_pop_keeps_base_encoding(self):
         p, q = Symbol("p", BOOL), Symbol("q", BOOL)
@@ -261,10 +262,10 @@ class TestIncrementalEngine:
         results = Engine().run(script).check_results
         assert [r.answer for r in results] == ["sat", "sat", "sat"]
         # The push frame encoded exactly its one new assertion...
-        assert results[1].stats["encoded_assertions"] == 1
+        assert results[1].metrics["engine.encoded_assertions"] == 1
         # ... and the final check re-encoded nothing at all.
-        assert results[2].stats["encoded_assertions"] == 0
-        assert results[2].stats["tseitin_new_vars"] == 0
+        assert results[2].metrics["engine.encoded_assertions"] == 0
+        assert results[2].metrics["engine.tseitin_new_vars"] == 0
 
     def test_learned_clauses_survive_pop(self):
         commands = [Push(1)]
@@ -275,10 +276,10 @@ class TestIncrementalEngine:
         commands.append(CheckSat())
         results = Engine().run(Script(tuple(commands))).check_results
         assert [r.answer for r in results] == ["unsat", "sat"]
-        assert results[0].stats["conflicts"] > 0
+        assert results[0].metrics["sat.conflicts"] > 0
         # The clauses learned refuting the pigeonhole block are retained
         # in the shared database after the pop.
-        assert results[1].stats["learned_db"] >= results[0].stats["learned_db"] > 0
+        assert results[1].metrics["engine.learned_db"] >= results[0].metrics["engine.learned_db"] > 0
 
     def test_repeated_checks_get_cheaper(self):
         commands = pigeonhole_script_commands(4)
@@ -288,7 +289,7 @@ class TestIncrementalEngine:
         assert [r.answer for r in results] == ["unsat", "unsat"]
         # The second check replays the learned refutation: strictly fewer
         # conflicts than the first full search.
-        assert results[1].stats["conflicts"] < results[0].stats["conflicts"]
+        assert results[1].metrics["sat.conflicts"] < results[0].metrics["sat.conflicts"]
 
     def test_trivial_false_short_circuits_without_solver(self):
         from repro.smtlib import FALSE
@@ -296,7 +297,7 @@ class TestIncrementalEngine:
         engine = Engine()
         results = engine.run(Script((Assert(FALSE), CheckSat()))).check_results
         assert results[0].answer == "unsat"
-        assert results[0].stats["trivial"] == 1
+        assert results[0].metrics["engine.trivial"] == 1
 
     def test_status_annotation_is_consumed_per_check(self):
         results = solve_script(

@@ -37,44 +37,6 @@ from repro.smtlib import parse_script
 
 
 class TestMetrics:
-    def test_counter_accumulates_and_rejects_negative(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("engine.widgets")
-        counter.inc()
-        counter.inc(4)
-        assert registry.snapshot()["engine.widgets"] == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_same_name_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
-        assert registry.timer("t") is registry.timer("t")
-
-    def test_cross_kind_name_collision_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
-        with pytest.raises(ValueError):
-            registry.timer("x")
-
-    def test_timer_monotonic_accumulation(self):
-        registry = MetricsRegistry()
-        timer = registry.timer("phase")
-        with timer.time():
-            time.sleep(0.001)
-        with timer.time():
-            pass
-        assert timer.count == 2
-        assert timer.total_ns >= 1_000_000
-        snap = registry.snapshot()
-        assert snap["phase_ns"] == timer.total_ns
-        assert snap["phase_count"] == 2
-        with pytest.raises(ValueError):
-            timer.add_ns(-5)
-
     def test_source_namespacing_and_unregister(self):
         registry = MetricsRegistry()
         stats = {"hits": 3, "level": 9}
@@ -474,17 +436,26 @@ class TestEngineIntegration:
 
     def test_metrics_delta_namespaced_and_consistent_with_stats(self):
         result = solve_script(DIAMOND)[0]
-        assert result.metrics["sat.conflicts"] == result.stats["conflicts"]
-        assert result.metrics["theory.arith.pivots"] == result.stats["arith_pivots"]
-        assert result.metrics["theory.euf.merges"] == result.stats["euf_merges"]
-        assert "intern.hits" in result.metrics
-        assert "engine.guard_clauses" in result.metrics
+        for key in (
+            "sat.conflicts",
+            "theory.arith.pivots",
+            "theory.euf.merges",
+            "intern.hits",
+            "engine.guard_clauses",
+            "engine.tseitin_new_vars",
+        ):
+            assert key in result.metrics, key
+        # ``stats`` is the delta without the process-wide intern table.
+        assert result.stats == {
+            key: value
+            for key, value in result.metrics.items()
+            if not key.startswith("intern.")
+        }
 
     def test_metrics_per_check_delta_resets_between_checks(self):
         results = solve_script(INCREMENTAL)
         # Second check re-encodes only the pushed assertions.
         assert results[1].metrics["engine.checks"] == 1
-        assert results[1].stats["conflicts"] == results[1].metrics["sat.conflicts"]
         # Theory counters are per-check absolutes even though the
         # registry persists across checks.
         for result in results:
@@ -502,24 +473,24 @@ class TestEngineIntegration:
         first, second = results
         # One asserted atom: a guard clause ships, but the encoder
         # itself emits no gate clauses.
-        assert first.stats["tseitin_new_clauses"] == 0
+        assert first.metrics["engine.tseitin_new_clauses"] == 0
         assert first.metrics["engine.guard_clauses"] >= 1
-        assert first.stats["clauses"] >= 1  # guards still count as shipped
+        assert first.metrics["engine.clauses_shipped"] >= 1  # guards still count as shipped
         # Unchanged re-check: nothing new on either ledger.
-        assert second.stats["tseitin_new_clauses"] == 0
-        assert second.stats["tseitin_new_vars"] == 0
+        assert second.metrics["engine.tseitin_new_clauses"] == 0
+        assert second.metrics["engine.tseitin_new_vars"] == 0
 
-    def test_trivial_check_keeps_zeroed_legacy_shape(self):
+    def test_trivial_check_reports_zeroed_counters(self):
         result = solve_script("(assert false)(check-sat)")[0]
         assert result.answer == "unsat"
-        assert result.stats["trivial"] == 1
-        assert result.stats["conflicts"] == 0
-        assert result.stats["vars"] == 0
+        assert result.metrics["engine.trivial"] == 1
+        assert result.metrics["sat.conflicts"] == 0
+        assert result.metrics["engine.vars"] == 0
         assert result.metrics["sat.decisions"] == 0
 
     def test_nontrivial_check_has_trivial_zero(self):
         result = solve_script("(declare-const p Bool)(assert p)(check-sat)")[0]
-        assert result.stats["trivial"] == 0
+        assert result.metrics["engine.trivial"] == 0
 
     def test_engine_metrics_property_snapshot(self):
         engine = Engine()
@@ -629,7 +600,8 @@ class TestCliObservability:
         document = json.loads(out)  # exactly one JSON document on stdout
         assert [f["answers"] for f in document["files"]] == [["unsat"], ["sat"]]
         check = document["files"][0]["checks"][0]
-        assert check["stats"]["conflicts"] == check["metrics"]["sat.conflicts"]
+        assert "stats" not in check  # the namespaced metrics carry it
+        assert "sat.conflicts" in check["metrics"]
         assert "total" in check["phases"]
         assert any(k.startswith("parse") for k in document["files"][0]["phases"])
 

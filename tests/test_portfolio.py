@@ -144,12 +144,12 @@ def test_seeded_noise_replays_deterministically():
     first = Engine(config=config).run(script_text_to_script(script))
     second = Engine(config=config).run(script_text_to_script(script))
     assert first.answers == second.answers
-    keys = ("conflicts", "decisions", "restarts", "random_decisions")
-    first_stats = first.check_results[0].stats
-    second_stats = second.check_results[0].stats
+    keys = ("sat.conflicts", "sat.decisions", "sat.restarts", "sat.random_decisions")
+    first_metrics = first.check_results[0].metrics
+    second_metrics = second.check_results[0].metrics
     for key in keys:
-        assert first_stats[key] == second_stats[key], key
-    assert first_stats["random_decisions"] > 0, (
+        assert first_metrics[key] == second_metrics[key], key
+    assert first_metrics["sat.random_decisions"] > 0, (
         "noise knobs produced no random decisions on a 1k-conflict search"
     )
 

@@ -208,8 +208,8 @@ class TestEngine:
         )
         assert checks[0].answer == "unsat"
         # Distinct literal indices resolve internally, no lemma shipped.
-        assert checks[0].stats["arrays_row2_ground"] >= 1
-        assert checks[0].stats["arrays_lemmas"] == 0
+        assert checks[0].metrics["theory.arrays.row2_ground"] >= 1
+        assert checks[0].metrics["theory.arrays.lemmas"] == 0
 
     def test_extensionality_unsat(self):
         assert answers(
@@ -308,9 +308,9 @@ class TestEngine:
             PRELUDE
             + "(assert (not (= (select (store a i 1) j) 1)))(check-sat)"
         )
-        stats = checks[0].stats
-        assert stats["arrays_row1_instances"] >= 1
-        assert stats["arrays_lemmas"] >= 1
+        metrics = checks[0].metrics
+        assert metrics["theory.arrays.row1_instances"] >= 1
+        assert metrics["theory.arrays.lemmas"] >= 1
 
     def test_arith_forced_index_equality_stays_sound(self):
         """Simplex-forced index equalities are invisible to the arrays

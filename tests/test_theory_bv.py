@@ -344,8 +344,8 @@ class TestEngine:
         )
         assert [c.answer for c in checks] == ["sat"] * 3
         # The blaster memo survives push/pop: later checks re-blast nothing.
-        assert checks[1].stats["bv_atoms_blasted"] == 0
-        assert checks[2].stats["bv_atoms_blasted"] == 0
+        assert checks[1].metrics["theory.bv.atoms_blasted"] == 0
+        assert checks[2].metrics["theory.bv.atoms_blasted"] == 0
 
     def test_metrics_exposed_per_check(self):
         checks = solve_script(
@@ -353,10 +353,10 @@ class TestEngine:
             "(assert (bvult x #x5))"
             "(check-sat)"
         )
-        stats = checks[0].stats
-        assert stats["bv_atoms_blasted"] >= 1
-        assert stats["bv_symbols"] == 1
-        assert stats["bv_bits"] == 4
+        metrics = checks[0].metrics
+        assert metrics["theory.bv.atoms_blasted"] >= 1
+        assert metrics["theory.bv.symbols"] == 1
+        assert metrics["theory.bv.bits"] == 4
 
     def test_mixed_bool_structure(self):
         assert answers(
