@@ -44,10 +44,17 @@ MODE_SIZES = {
     "full": (60, 160, 10, (29, 1, 41, 2, 71, 4, 97, 101, 2, 139), 14),
     "heavy": (220, 700, 13, (29, 1, 41, 2, 71, 4, 97, 101, 2, 139, 163, 3), 600),
 }
-COUNTERS = ("sat.conflicts", "sat.theory_lemmas", "theory.arith.pivots", "theory.arith.branches")
+COUNTERS = (
+    "sat.conflicts",
+    "sat.theory_lemmas",
+    "theory.arith.pivots",
+    "theory.arith.pivot_entries",
+    "theory.arith.branches",
+)
 COLUMNS = [
     ("workload", 16), ("n", 5), ("nodes.vars", 7), ("answer", 24),
-    ("solver.arith_pivots", 8), ("solver.arith_branches", 9), ("seconds", 0),
+    ("solver.arith_pivots", 8), ("solver.arith_pivot_entries", 9), ("us_per_pivot_entry", 8),
+    ("solver.arith_branches", 9), ("seconds", 0),
 ]
 
 
@@ -158,9 +165,20 @@ def diamond_lra_commands(layers, window):
     return tuple(commands), [expected]
 
 
+def with_entry_cost(row: dict) -> dict:
+    """Add ``us_per_pivot_entry``: theory-check µs per tableau entry the
+    pivots wrote (``None`` without pivots).  It includes the bound and
+    branch work of theory-check, so it is an upper bound on the kernel's
+    per-entry cost."""
+    entries = row["solver"]["arith_pivot_entries"]
+    check_s = row["phases"].get("check-sat/search/theory-check", 0.0)
+    row["us_per_pivot_entry"] = round(check_s * 1e6 / entries, 4) if entries else None
+    return row
+
+
 def workloads(sizes) -> list[dict]:
     dense_n, sparse_n, box, targets, layers = sizes
-    return [
+    rows = [
         harness.engine_row("dense_simplex", dense_n, *dense_simplex_commands(dense_n), COUNTERS),
         harness.engine_row(
             "sparse_simplex", sparse_n, *sparse_simplex_commands(sparse_n), COUNTERS
@@ -173,6 +191,7 @@ def workloads(sizes) -> list[dict]:
             COUNTERS,
         ),
     ]
+    return [with_entry_cost(row) for row in rows]
 
 
 if __name__ == "__main__":

@@ -21,6 +21,16 @@ for DPLL(T)", CAV'06), plus branch-and-bound for integer solutions:
   *minimal-by-construction* infeasibility explanation (the violated
   bound plus the limiting bound of every variable in its row), with
   Bland's rule (smallest variable index first) guaranteeing termination.
+* **Numbers are integers on the pivot path.**  Each tableau row is a
+  dict of integer coefficients over one positive row denominator
+  (``basic = Σ cⱼ·xⱼ / d``, with ``gcd(d, c…) == 1``).  A pivot solves
+  the leaving row for the entering variable — already in lowest terms —
+  and substitutes it into each other row by scaling that row with
+  ``d/gcd`` and adding in integers; only a row whose old denominator
+  is not 1 can pick up a common factor, so only those get a gcd pass.
+  Assignments and bounds are :class:`DeltaRational` integer triples.
+  ``Fraction`` appears only where atoms compile into bounds and where
+  models are extracted.
 * **Strict bounds** use δ-rationals (:class:`DeltaRational`): ``x < c``
   is ``x <= c - δ`` for a symbolic infinitesimal δ, materialized at
   model-extraction time by choosing a concrete δ small enough for every
@@ -52,7 +62,7 @@ into strict inequalities — the theory never needs disequality reasoning.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 from ..obs.spans import trace_span
@@ -82,63 +92,116 @@ def _ceil(value: Fraction) -> int:
 class DeltaRational:
     """A rational plus a symbolic-infinitesimal multiple: ``r + k·δ``.
 
-    Ordered lexicographically — exactly the order that makes the strict
-    bound ``x < c`` equivalent to ``x <= c - δ`` for every sufficiently
-    small positive δ.  Supports the ring operations the simplex needs
-    (addition, subtraction, scaling by :class:`~fractions.Fraction`).
+    Stored as three integers, ``(num + dnum·δ) / den`` with ``den > 0``
+    and ``gcd(num, dnum, den) == 1``, so equal values have equal fields
+    and every operation is integer arithmetic plus one gcd.  Ordered
+    lexicographically — exactly the order that makes the strict bound
+    ``x < c`` equivalent to ``x <= c - δ`` for every sufficiently small
+    positive δ.  Supports the ring operations the simplex needs
+    (addition, subtraction, scaling by a rational ``n/d``).
     """
 
-    __slots__ = ("real", "delta")
+    __slots__ = ("num", "dnum", "den")
+
+    num: int
+    dnum: int
+    den: int
 
     def __init__(
         self, real: Union[int, Fraction], delta: Union[int, Fraction] = 0
     ) -> None:
-        self.real = Fraction(real)
-        self.delta = Fraction(delta)
+        real, delta = Fraction(real), Fraction(delta)
+        den = lcm(real.denominator, delta.denominator)
+        # Both parts are in lowest terms, so no prime divides all three.
+        self.num = real.numerator * (den // real.denominator)
+        self.dnum = delta.numerator * (den // delta.denominator)
+        self.den = den
+
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.dnum, self.den)
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real + other.real, self.delta + other.delta)
+        return self.plus_times(other, 1, 1)
 
     def __sub__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real - other.real, self.delta - other.delta)
+        return self.plus_times(other, -1, 1)
+
+    def times(self, n: int, d: int) -> "DeltaRational":
+        """This value scaled by the rational ``n/d`` (``d != 0``)."""
+        if d < 0:
+            n, d = -n, -d
+        return _reduced(self.num * n, self.dnum * n, self.den * d)
+
+    def plus_times(self, other: "DeltaRational", n: int, d: int) -> "DeltaRational":
+        """``self + other·n/d`` with a single reduction (``d > 0``)."""
+        scale = other.den * d
+        n *= self.den
+        return _reduced(
+            self.num * scale + other.num * n,
+            self.dnum * scale + other.dnum * n,
+            self.den * scale,
+        )
 
     def scaled(self, factor: Fraction) -> "DeltaRational":
-        return DeltaRational(self.real * factor, self.delta * factor)
+        return self.times(factor.numerator, factor.denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeltaRational):
             return NotImplemented
-        return self.real == other.real and self.delta == other.delta
+        return self.num == other.num and self.dnum == other.dnum and self.den == other.den
+
+    def _cmp(self, other: "DeltaRational") -> int:
+        """The sign of ``self - other``."""
+        left, right = self.num * other.den, other.num * self.den
+        if left == right:
+            left, right = self.dnum * other.den, other.dnum * self.den
+        return (left > right) - (left < right)
 
     def __lt__(self, other: "DeltaRational") -> bool:
-        return (self.real, self.delta) < (other.real, other.delta)
+        return self._cmp(other) < 0
 
     def __le__(self, other: "DeltaRational") -> bool:
-        return (self.real, self.delta) <= (other.real, other.delta)
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: "DeltaRational") -> bool:
-        return (self.real, self.delta) > (other.real, other.delta)
+        return self._cmp(other) > 0
 
     def __ge__(self, other: "DeltaRational") -> bool:
-        return (self.real, self.delta) >= (other.real, other.delta)
+        return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
-        return hash((self.real, self.delta))
+        return hash((self.num, self.dnum, self.den))
 
     @property
     def is_integral(self) -> bool:
-        return self.delta == 0 and self.real.denominator == 1
+        return self.dnum == 0 and self.den == 1
 
     def floor(self) -> int:
         """The largest integer (strictly) below a non-integral value, the
         value itself when integral."""
-        if self.real.denominator == 1:
-            base = int(self.real)
-            return base - 1 if self.delta < 0 else base
-        return _floor(self.real)
+        base, remainder = divmod(self.num, self.den)
+        if remainder == 0 and self.dnum < 0:
+            return base - 1
+        return base
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeltaRational({self.real!r}, {self.delta!r})"
+
+
+def _reduced(num: int, dnum: int, den: int) -> DeltaRational:
+    """``(num + dnum·δ) / den`` for ``den > 0``, in lowest terms."""
+    common = gcd(num, dnum, den)
+    value = DeltaRational.__new__(DeltaRational)
+    if common == 1:
+        value.num, value.dnum, value.den = num, dnum, den
+    else:
+        value.num, value.dnum, value.den = num // common, dnum // common, den // common
+    return value
 
 
 class ArithTheory(Theory):
@@ -160,9 +223,12 @@ class ArithTheory(Theory):
         self._is_int: list[bool] = []
         self._var_of: dict[Symbol, int] = {}
         self._slack_of: dict[tuple, int] = {}
-        # The tableau: basic variable -> sparse row over non-basic ones,
+        # The tableau: basic variable -> sparse row of integer
+        # coefficients over non-basic ones, with one positive row
+        # denominator (``basic = Σ coeff·column / den``, in lowest terms),
         # plus the column index (non-basic -> rows that mention it).
-        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
+        self._dens: dict[int, int] = {}
         self._cols: dict[int, set[int]] = {}
         self._assign: list[DeltaRational] = []
         self._lower: dict[int, tuple[DeltaRational, _Lit]] = {}
@@ -178,6 +244,10 @@ class ArithTheory(Theory):
             "literals": 0,
             "conflicts": 0,
             "pivots": 0,
+            # Row entries written by pivots: the entering row, plus per
+            # substituted row the entering-row update and any rescale
+            # or gcd reduction of the whole row.
+            "pivot_entries": 0,
             "branches": 0,
             "checks": 0,
             "bb_exhausted": 0,
@@ -253,20 +323,15 @@ class ArithTheory(Theory):
         the canonical ones (coprime integers, positive leading
         coefficient, variables ordered by name)."""
         items = sorted(coeffs.items(), key=lambda entry: entry[0].name)
-        denominator_lcm = 1
-        for _, coeff in items:
-            denominator_lcm = (
-                denominator_lcm
-                * coeff.denominator
-                // gcd(denominator_lcm, coeff.denominator)
-            )
-        numerator_gcd = 0
-        for _, coeff in items:
-            numerator_gcd = gcd(numerator_gcd, int(coeff * denominator_lcm))
-        scale = Fraction(denominator_lcm, numerator_gcd)
-        if items[0][1] < 0:
-            scale = -scale
-        key = tuple((symbol, coeff * scale) for symbol, coeff in items)
+        common_den = lcm(*(coeff.denominator for _, coeff in items))
+        numerators = [coeff.numerator * (common_den // coeff.denominator) for _, coeff in items]
+        divisor = gcd(*numerators)
+        if numerators[0] < 0:
+            divisor = -divisor
+        key = tuple(
+            (symbol, numerator // divisor) for (symbol, _), numerator in zip(items, numerators)
+        )
+        scale = Fraction(common_den, divisor)
         existing = self._slack_of.get(key)
         if existing is not None:
             return existing, scale
@@ -274,31 +339,41 @@ class ArithTheory(Theory):
         # variables (substituting any basic variable's row keeps the
         # tableau in solved form) and enter it as a basic variable whose
         # assignment is the current value of the expression.
-        row: dict[int, Fraction] = {}
+        row: dict[int, int] = {}
+        den = 1
         value = DeltaRational(0)
         is_int = True
         for symbol, coeff in key:
             index = self._var_index(symbol)
             if symbol.sort != INT:
                 is_int = False
-            value = value + self._assign[index].scaled(coeff)
+            value = value.plus_times(self._assign[index], coeff, 1)
             basic_row = self._rows.get(index)
             if basic_row is None:
-                updated = row.get(index, Fraction(0)) + coeff
-                if updated == 0:
-                    row.pop(index, None)
-                else:
-                    row[index] = updated
+                terms, terms_den = {index: 1}, 1
             else:
-                for column, entry in basic_row.items():
-                    updated = row.get(column, Fraction(0)) + coeff * entry
-                    if updated == 0:
-                        row.pop(column, None)
-                    else:
-                        row[column] = updated
+                terms, terms_den = basic_row, self._dens[index]
+            # row/den + coeff·terms/terms_den over their least common
+            # denominator.
+            common = gcd(den, terms_den)
+            if terms_den != common:
+                row = {column: entry * (terms_den // common) for column, entry in row.items()}
+            factor = coeff * (den // common)
+            den = den // common * terms_den
+            for column, entry in terms.items():
+                updated = row.get(column, 0) + factor * entry
+                if updated == 0:
+                    row.pop(column, None)
+                else:
+                    row[column] = updated
+        common = gcd(den, *row.values())
+        if common != 1:
+            row = {column: entry // common for column, entry in row.items()}
+            den //= common
         slack = self._new_var(None, is_int)
         self._assign[slack] = value
         self._rows[slack] = row
+        self._dens[slack] = den
         for column in row:
             self._cols.setdefault(column, set()).add(slack)
         self._slack_of[key] = slack
@@ -396,9 +471,10 @@ class ArithTheory(Theory):
     def _update(self, var: int, value: DeltaRational) -> None:
         """Move a non-basic variable, carrying every dependent basic."""
         assign = self._assign
+        rows, dens = self._rows, self._dens
         delta = value - assign[var]
         for basic in self._cols.get(var, ()):
-            assign[basic] = assign[basic] + delta.scaled(self._rows[basic][var])
+            assign[basic] = assign[basic].plus_times(delta, rows[basic][var], dens[basic])
         assign[var] = value
 
     # -- the simplex core ----------------------------------------------------
@@ -465,43 +541,76 @@ class ArithTheory(Theory):
             self.stats["pivots"] += 1
 
     def _pivot_and_update(self, basic: int, entering: int, value: DeltaRational) -> None:
-        row = self._rows[basic]
+        rows, dens, cols, assign = self._rows, self._dens, self._cols, self._assign
+        row = rows.pop(basic)
+        den = dens.pop(basic)
         coeff = row[entering]
-        assign = self._assign
-        theta = (value - assign[basic]).scaled(Fraction(1) / coeff)
-        # Assignments first (they need the old column index).
+        # ``basic = (coeff·entering + …) / den``: moving ``basic`` to
+        # ``value`` moves ``entering`` by ``Δ·den/coeff``.  Assignments
+        # first (they need the old column index).
+        theta = (value - assign[basic]).times(den, coeff)
         assign[basic] = value
-        for other in self._cols.get(entering, ()):
+        for other in cols.get(entering, ()):
             if other != basic:
-                assign[other] = assign[other] + theta.scaled(self._rows[other][entering])
+                assign[other] = assign[other].plus_times(theta, rows[other][entering], dens[other])
         assign[entering] = assign[entering] + theta
-        # Structural pivot: solve ``basic``'s row for ``entering`` ...
-        del self._rows[basic]
+        # Structural pivot: solve ``basic``'s row for ``entering`` —
+        # ``entering = (den·basic − Σ others) / coeff``, sign-normalized.
+        # It is already in lowest terms: ``gcd(den, *row)`` was 1.
         for column in row:
-            self._cols[column].discard(basic)
-        inverse = Fraction(1) / coeff
-        entering_row: dict[int, Fraction] = {basic: inverse}
+            cols[column].discard(basic)
+        sign = 1 if coeff > 0 else -1
+        entering_den = coeff * sign
+        entering_row: dict[int, int] = {basic: den * sign}
         for column, entry in row.items():
             if column != entering:
-                entering_row[column] = -entry * inverse
-        # ... and substitute it into every other row that mentions it.
-        for other in self._cols.pop(entering, set()):
-            other_row = self._rows[other]
+                entering_row[column] = -entry * sign
+        width = len(entering_row)
+        written = width
+        # ... and substitute it into every other row that mentions it:
+        # ``other = (rest + f·entering) / d`` becomes, with
+        # ``g = gcd(f, entering_den)``,
+        # ``((entering_den/g)·rest + (f/g)·entering_row) / (d·entering_den/g)``.
+        for other in cols.pop(entering, set()):
+            other_row = rows[other]
             factor = other_row.pop(entering)
+            common = gcd(factor, entering_den)
+            scale = entering_den // common
+            factor //= common
+            written += width
+            if scale != 1:
+                other_row = {column: entry * scale for column, entry in other_row.items()}
+                written += len(other_row)
             for column, entry in entering_row.items():
                 previous = other_row.get(column)
-                updated = (previous or Fraction(0)) + factor * entry
-                if updated == 0:
-                    if previous is not None:
-                        del other_row[column]
-                        self._cols[column].discard(other)
+                if previous is None:
+                    other_row[column] = factor * entry
+                    cols.setdefault(column, set()).add(other)
                 else:
-                    other_row[column] = updated
-                    if previous is None:
-                        self._cols.setdefault(column, set()).add(other)
-        self._rows[entering] = entering_row
+                    updated = previous + factor * entry
+                    if updated == 0:
+                        del other_row[column]
+                        cols[column].discard(other)
+                    else:
+                        other_row[column] = updated
+            # A common factor of the result cannot divide ``scale`` (it
+            # would divide the whole entering row and its denominator,
+            # which are coprime), so it divides the old denominator:
+            # rows over denominator 1 skip the gcd pass.
+            other_den = dens[other]
+            if other_den != 1:
+                common = gcd(other_den, *other_row.values())
+                if common != 1:
+                    other_row = {column: entry // common for column, entry in other_row.items()}
+                    other_den //= common
+                    written += len(other_row)
+            rows[other] = other_row
+            dens[other] = other_den * scale
+        rows[entering] = entering_row
+        dens[entering] = entering_den
         for column in entering_row:
-            self._cols.setdefault(column, set()).add(entering)
+            cols.setdefault(column, set()).add(entering)
+        self.stats["pivot_entries"] += written
 
     # -- branch and bound ----------------------------------------------------
 

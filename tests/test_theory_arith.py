@@ -2,7 +2,9 @@
 plugin's direct API, composite dispatch, and engine-level QF_LRA/QF_LIA
 solving."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -141,6 +143,80 @@ class TestDeltaRational:
         assert DeltaRational(3, -1).floor() == 2
         assert DeltaRational(Fraction(7, 2), 1).floor() == 3
         assert DeltaRational(Fraction(-7, 2)).floor() == -4
+
+
+class TestDeltaRationalRepresentation:
+    """The integer triple ``(num + dnum·δ) / den`` behind the public API."""
+
+    def test_lowest_terms_equal_and_hash_equal(self):
+        half = DeltaRational(Fraction(1, 2), Fraction(1, 2))
+        unreduced = DeltaRational(Fraction(2, 4), Fraction(2, 4))
+        assert unreduced == half
+        assert hash(unreduced) == hash(half)
+        assert (half.num, half.dnum, half.den) == (1, 1, 2)
+        # Integral real part, fractional δ part: one shared denominator.
+        mixed = DeltaRational(1, Fraction(1, 2))
+        assert (mixed.num, mixed.dnum, mixed.den) == (2, 1, 2)
+        # Arithmetic results are reduced too.
+        total = DeltaRational(Fraction(1, 6)) + DeltaRational(Fraction(1, 3))
+        assert (total.num, total.dnum, total.den) == (1, 0, 2)
+
+    def test_order_across_denominators(self):
+        assert DeltaRational(Fraction(1, 3)) < DeltaRational(Fraction(1, 2))
+        assert DeltaRational(Fraction(-1, 2)) < DeltaRational(Fraction(-1, 3))
+        assert DeltaRational(Fraction(2, 3), 5) < DeltaRational(Fraction(3, 4), -7)
+        # Equal real parts over different denominators: δ breaks the tie.
+        low = DeltaRational(Fraction(1, 2), Fraction(-1, 3))
+        high = DeltaRational(Fraction(1, 2), Fraction(1, 5))
+        assert low < high and low <= high and high > low and high >= low
+        assert not low >= high
+        tie = DeltaRational(Fraction(3, 6), Fraction(-2, 6))
+        assert tie == low and tie <= low and tie >= low and not tie < low
+
+    def test_times_with_negative_denominator(self):
+        value = DeltaRational(Fraction(1, 2), 1)
+        product = value.times(3, -4)
+        assert product == DeltaRational(Fraction(-3, 8), Fraction(-3, 4))
+        assert product.den > 0
+        assert value.times(-2, -4) == DeltaRational(Fraction(1, 4), Fraction(1, 2))
+        assert value.scaled(Fraction(-3, 4)) == product
+
+    def test_plus_times_is_add_of_times(self):
+        a = DeltaRational(Fraction(5, 6), Fraction(-1, 4))
+        b = DeltaRational(Fraction(-7, 3), 2)
+        assert a.plus_times(b, -9, 10) == a + b.times(-9, 10)
+        assert a.plus_times(b, 0, 7) == a
+
+    @pytest.mark.parametrize(
+        "real, delta, floor",
+        [
+            (Fraction(-7, 2), 0, -4),
+            (Fraction(-7, 2), 1, -4),
+            (Fraction(-1, 3), 0, -1),
+            (Fraction(-1, 3), Fraction(-5, 7), -1),
+            (-3, -1, -4),
+            (-3, 1, -3),
+            (1, Fraction(-1, 2), 0),
+            (1, Fraction(1, 2), 1),
+        ],
+    )
+    def test_floor_of_negative_and_shared_denominator_values(self, real, delta, floor):
+        assert DeltaRational(real, delta).floor() == floor
+
+    @pytest.mark.parametrize(
+        "real, delta",
+        [
+            (Fraction(0), Fraction(0)),
+            (Fraction(-7, 3), Fraction(5, 6)),
+            (Fraction(4), Fraction(-1, 9)),
+            (Fraction(11, 12), Fraction(0)),
+        ],
+    )
+    def test_real_and_delta_round_trip(self, real, delta):
+        value = DeltaRational(real, delta)
+        assert isinstance(value.real, Fraction) and isinstance(value.delta, Fraction)
+        assert (value.real, value.delta) == (real, delta)
+        assert value.is_integral == (delta == 0 and real.denominator == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +435,101 @@ class TestArithTheoryDirect:
                 theory.check()  # must not raise, whatever the verdict
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestTableauInvariants:
+    """Seeded random ``assert_literal``/``check``/``push``/``pop`` runs
+    over multi-variable LRA and LIA atoms with rational coefficients.
+    After every step each row is an integer row over a positive
+    denominator in lowest terms with no zero entry, ``_cols`` is the
+    transpose of ``_rows``, and every basic variable's assignment is its
+    row's value.  A wrong gcd or scale factor can keep small verdicts
+    right and still break these."""
+
+    INTS = [Symbol(name, INT) for name in ("i0", "i1", "i2", "i3")]
+    REALS = [Symbol(name, REAL) for name in ("r0", "r1", "r2", "r3")]
+
+    @staticmethod
+    def random_atom(rng, symbols):
+        is_int = symbols[0].sort == INT
+        sort = INT if is_int else REAL
+        terms = []
+        for symbol in rng.sample(symbols, rng.randint(2, len(symbols))):
+            if is_int:
+                coeff = Fraction(rng.choice([-6, -3, -2, -1, 1, 2, 3, 4, 9]))
+                terms.append(Apply("*", (int_const(int(coeff)), symbol), sort))
+            else:
+                coeff = Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.choice([1, 2, 3, 4, 6]))
+                terms.append(Apply("*", (Constant(coeff, REAL), symbol), sort))
+        bound = rng.randint(-12, 12)
+        if is_int:
+            rhs = int_const(bound)
+        else:
+            rhs = Constant(Fraction(bound, rng.choice([1, 2, 5])), REAL)
+        op = rng.choice(["<", "<=", ">", ">="])
+        return Apply(op, (Apply("+", tuple(terms), sort), rhs), BOOL)
+
+    @staticmethod
+    def assert_invariants(theory):
+        assign = theory._assign
+        transpose = {}
+        for basic, row in theory._rows.items():
+            den = theory._dens[basic]
+            assert den > 0
+            assert gcd(den, *row.values()) == 1
+            assert all(coeff != 0 for coeff in row.values())
+            assert not row.keys() & theory._rows.keys(), "rows mention only non-basics"
+            for column in row:
+                transpose.setdefault(column, set()).add(basic)
+            real = sum((c * assign[column].real for column, c in row.items()), Fraction(0))
+            delta = sum((c * assign[column].delta for column, c in row.items()), Fraction(0))
+            assert (assign[basic].real, assign[basic].delta) == (real / den, delta / den)
+        assert theory._dens.keys() == theory._rows.keys()
+        assert {column: rows for column, rows in theory._cols.items() if rows} == transpose
+
+    @staticmethod
+    def assert_feasible(theory):
+        for var, value in enumerate(theory._assign):
+            low, high = theory._lower.get(var), theory._upper.get(var)
+            assert low is None or low[0] <= value
+            assert high is None or value <= high[0]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_sequences_keep_the_tableau_exact(self, seed):
+        rng = random.Random(seed)
+        theory = ArithTheory(branch_limit=200)
+        for symbol in self.INTS:  # boxed, so branch-and-bound stays short
+            theory.assert_literal(Apply(">=", (symbol, int_const(-20)), BOOL), True)
+            theory.assert_literal(Apply("<=", (symbol, int_const(20)), BOOL), True)
+        depth = 0
+        for _ in range(60):
+            action = rng.random()
+            if action < 0.55:
+                if rng.random() < 0.5:
+                    theory.push()
+                    depth += 1
+                symbols = self.INTS if rng.random() < 0.5 else self.REALS
+                conflict = theory.assert_literal(self.random_atom(rng, symbols), rng.random() < 0.7)
+            elif action < 0.8:
+                conflict = theory.check()
+                if conflict is None and theory.incomplete_reason() is None:
+                    self.assert_feasible(theory)
+            elif action < 0.9 or depth == 0:
+                theory.push()
+                depth += 1
+                conflict = None
+            else:
+                theory.pop()
+                depth -= 1
+                conflict = None
+            self.assert_invariants(theory)
+            if conflict is not None:
+                if depth == 0:
+                    break
+                theory.pop()
+                depth -= 1
+                self.assert_invariants(theory)
+        assert theory.stats["pivots"] > 0  # every seed exercises the kernel
 
 
 # ---------------------------------------------------------------------------
