@@ -6,29 +6,33 @@ every later ``check-sat``), the declarations scoped to the level, and the
 frame's SAT *selector* variable — the assumption literal that activates
 the frame's clauses in the shared incremental solver.
 
-Preparation is the term-level pipeline that runs **before** encoding:
+Preparation is the term-level rewrite that runs **before** encoding:
+:func:`prepare_term`, one memoized bottom-up pass that carries a binder
+environment (name → prepared value).  A ``let`` binds its names to its
+prepared values (parallel semantics) and no ``let`` survives; a
+``define-fun`` application binds the parameters to the prepared
+arguments and prepares the body under them; a quantifier binds each
+name to its own symbol.  Inner bindings hide outer ones and definitions
+of the same name.  Only the empty environment uses the caller's memo;
+each binder scope gets a fresh one.
 
-1. :func:`inline_definitions` — beta-reduce ``define-fun`` applications.
-2. :func:`expand_lets` — substitute ``let`` binders away (parallel
-   semantics).
-3. :func:`expand_equalities` — rewrite n-ary ``=`` / ``distinct`` over
-   non-boolean terms into conjunctions of *binary* equalities (negated
-   for ``distinct``), so the theory layer only ever sees binary equality
-   atoms.  Boolean ``=``/``distinct`` are CNF connectives and stay as-is.
-4. :func:`expand_arithmetic` — split pure-linear ``=`` into
-   ``<=``/``>=`` bound pairs (NNF turns their negation into a
-   disjunction of strict inequalities, so the SAT core case-splits
-   disequalities for the convex simplex) and chained comparisons into
-   binary conjunctions.
+At each ``Apply`` the equality rule runs first: n-ary ``=`` and any
+``distinct`` over non-boolean terms become conjunctions of *binary*
+equalities (negated for ``distinct``), so the theory layer only sees
+binary equality atoms; boolean ``=``/``distinct`` are CNF connectives
+and stay.  The arithmetic rule then splits each linear Int/Real ``=``
+into a ``<=``/``>=`` pair (NNF turns its negation into a disjunction of
+strict inequalities, so the SAT core case-splits disequalities for the
+convex simplex) and chained comparisons into binary conjunctions.
 
-``define-fun`` expansion substitutes by name and is not capture-avoiding
-against quantifiers inside definition bodies; the engine targets
-quantifier-free skeletons, where no capture can occur.
+Bound values are substituted as they are, not renamed: a quantifier in
+a body can capture a free symbol of a ``let`` value or an argument.  The
+engine targets quantifier-free skeletons, where no capture can occur.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Mapping, Optional
 
 from ..smtlib.linarith import difference_form
 from ..smtlib.script import DefineFun, FunSignature
@@ -41,7 +45,8 @@ from ..smtlib.terms import (
     Symbol,
     Term,
     negate,
-    substitute,
+    pop_scope,
+    push_scope,
 )
 
 
@@ -83,205 +88,85 @@ class Frame:
 
 
 # ---------------------------------------------------------------------------
-# Definition inlining and let expansion.
+# The preparation pass.
 # ---------------------------------------------------------------------------
 
 
-def inline_definitions(
-    term: Term,
-    definitions: dict[str, DefineFun],
-    shadowed: frozenset[str],
-    memo: dict[tuple[Term, frozenset[str]], Term],
+def prepare_term(
+    term: Term, definitions: Mapping[str, DefineFun], memo: dict[Term, Term]
 ) -> Term:
-    """Beta-reduce every application (or nullary occurrence) of a defined
-    function.  ``shadowed`` holds binder names that hide same-named
-    definitions below them."""
-    if not definitions:
-        return term
-    key = (term, shadowed)
-    cached = memo.get(key)
+    """Inline ``definitions``, expand every ``let`` and normalize the
+    equality and arithmetic atoms of ``term`` in one pass.  ``memo`` maps
+    terms to their prepared forms in the empty environment: share one
+    across a batch of terms so common subterms are prepared once."""
+    return _prepare(term, definitions, {}, memo, memo)
+
+
+def _prepare(
+    term: Term, definitions: Mapping[str, DefineFun], env: dict[str, Term],
+    memo: dict[Term, Term], root: dict[Term, Term],
+) -> Term:
+    # ``memo`` belongs to the current binder scope and ``root`` to the
+    # empty one, where definition bodies without parameters are prepared.
+    cached = memo.get(term)
     if cached is not None:
         return cached
-    result = _inline_node(term, definitions, shadowed, memo)
-    memo[key] = result
-    return result
-
-
-def _inline_node(
-    term: Term,
-    definitions: dict[str, DefineFun],
-    shadowed: frozenset[str],
-    memo: dict[tuple[Term, frozenset[str]], Term],
-) -> Term:
     if isinstance(term, Constant):
-        return term
-    if isinstance(term, Symbol):
-        definition = definitions.get(term.name)
-        if definition is not None and not definition.params and term.name not in shadowed:
-            return inline_definitions(definition.body, definitions, frozenset(), memo)
-        return term
-    if isinstance(term, Apply):
+        result: Term = term
+    elif isinstance(term, Symbol):
+        if term.name in env:
+            result = env[term.name]
+        elif term.name in definitions:
+            result = _inline(definitions[term.name], (), definitions, root)
+        else:
+            result = term
+    elif isinstance(term, Apply):
+        # Plain loop, not a genexpr, so deep chains prepare in linear time.
         rewritten = []
         for arg in term.args:
-            rewritten.append(inline_definitions(arg, definitions, shadowed, memo))
+            rewritten.append(_prepare(arg, definitions, env, memo, root))
         args = tuple(rewritten)
         definition = definitions.get(term.op)
-        if definition is not None and not term.indices and term.op not in shadowed:
-            body = inline_definitions(definition.body, definitions, frozenset(), memo)
-            mapping = {name: arg for (name, _), arg in zip(definition.params, args)}
-            return substitute(body, mapping)
-        if args == term.args:
-            return term
-        return Apply(term.op, args, term.sort, term.indices)
-    if isinstance(term, Quantifier):
-        inner = shadowed | {name for name, _ in term.bindings}
-        body = inline_definitions(term.body, definitions, inner, memo)
-        if body is term.body:
-            return term
-        return Quantifier(term.kind, term.bindings, body)
-    if isinstance(term, Let):
-        bindings = tuple(
-            (name, inline_definitions(value, definitions, shadowed, memo))
-            for name, value in term.bindings
-        )
-        inner = shadowed | {name for name, _ in term.bindings}
-        body = inline_definitions(term.body, definitions, inner, memo)
-        return Let(bindings, body)
-    raise TypeError(f"unknown term node: {term!r}")
-
-
-def expand_lets(term: Term, memo: dict[Term, Term]) -> Term:
-    """Substitute every ``let`` binder away (parallel-let semantics)."""
-    cached = memo.get(term)
-    if cached is not None:
-        return cached
-    if isinstance(term, (Constant, Symbol)):
-        result: Term = term
-    elif isinstance(term, Apply):
-        rewritten = []
-        for arg in term.args:
-            rewritten.append(expand_lets(arg, memo))
-        args = tuple(rewritten)
-        result = term if args == term.args else Apply(term.op, args, term.sort, term.indices)
-    elif isinstance(term, Quantifier):
-        body = expand_lets(term.body, memo)
-        result = term if body is term.body else Quantifier(term.kind, term.bindings, body)
-    elif isinstance(term, Let):
-        mapping = {
-            name: expand_lets(value, memo) for name, value in term.bindings
-        }
-        body = expand_lets(term.body, memo)
-        result = substitute(body, mapping)
-    else:
-        raise TypeError(f"unknown term node: {term!r}")
-    memo[term] = result
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Equality expansion (theory preparation).
-# ---------------------------------------------------------------------------
-
-
-def _expand_bottom_up(
-    term: Term,
-    memo: dict[Term, Term],
-    rewrite_apply: Callable[[Apply, tuple[Term, ...]], Term],
-) -> Term:
-    """The memoized bottom-up traversal shared by the expansion passes:
-    children rewrite first, then ``rewrite_apply`` sees each ``Apply``
-    node with its rewritten arguments; ``Quantifier``/``Let`` rebuild
-    with structure sharing (unchanged nodes return ``is``-identical)."""
-    cached = memo.get(term)
-    if cached is not None:
-        return cached
-    if isinstance(term, (Constant, Symbol)):
-        result: Term = term
-    elif isinstance(term, Apply):
-        rewritten = []
-        for arg in term.args:
-            rewritten.append(_expand_bottom_up(arg, memo, rewrite_apply))
-        result = rewrite_apply(term, tuple(rewritten))
-    elif isinstance(term, Quantifier):
-        body = _expand_bottom_up(term.body, memo, rewrite_apply)
-        result = term if body is term.body else Quantifier(term.kind, term.bindings, body)
-    elif isinstance(term, Let):
-        bindings = tuple(
-            (name, _expand_bottom_up(value, memo, rewrite_apply))
-            for name, value in term.bindings
-        )
-        body = _expand_bottom_up(term.body, memo, rewrite_apply)
-        if body is term.body and all(
-            new is old for (_, new), (_, old) in zip(bindings, term.bindings)
-        ):
-            result = term
+        if definition is not None and not term.indices:
+            result = _inline(definition, args, definitions, root)
         else:
-            result = Let(bindings, body)
+            result = _normalize_atom(term, args)
+    elif isinstance(term, Quantifier):
+        saved = push_scope(env, [(name, Symbol(name, sort)) for name, sort in term.bindings])
+        try:
+            body = _prepare(term.body, definitions, env, {}, root)
+        finally:
+            pop_scope(env, saved)
+        result = term if body is term.body else Quantifier(term.kind, term.bindings, body)
+    elif isinstance(term, Let):
+        values = []
+        for name, value in term.bindings:
+            values.append((name, _prepare(value, definitions, env, memo, root)))
+        saved = push_scope(env, values)
+        try:
+            result = _prepare(term.body, definitions, env, {}, root)
+        finally:
+            pop_scope(env, saved)
     else:
         raise TypeError(f"unknown term node: {term!r}")
     memo[term] = result
     return result
 
 
-def _rebuild(term: Apply, args: tuple[Term, ...]) -> Term:
-    return term if args == term.args else Apply(term.op, args, term.sort, term.indices)
+def _inline(
+    definition: DefineFun, args: tuple[Term, ...],
+    definitions: Mapping[str, DefineFun], root: dict[Term, Term],
+) -> Term:
+    """The body of ``definition`` prepared with its parameters bound to
+    the prepared ``args``."""
+    env = {name: arg for (name, _), arg in zip(definition.params, args)}
+    return _prepare(definition.body, definitions, env, {} if env else root, root)
 
 
-def expand_arithmetic(term: Term, memo: dict[Term, Term]) -> Term:
-    """Normalize arithmetic atoms for the simplex theory.
-
-    * A binary ``=`` whose difference is linear over Int/Real symbols
-      becomes ``(and (<= a b) (>= a b))`` — asserted positively the two
-      bounds pin the value, and under negation NNF turns the conjunction
-      into a disjunction of *strict* inequalities, letting the SAT core
-      case-split disequalities so the (convex) simplex never sees them.
-      Equalities that are not linear (uninterpreted applications,
-      ``div``/``mod`` ...) are left for EUF.
-    * A chained comparison ``(< a b c)`` becomes the conjunction of its
-      adjacent binary pairs, so the theory's atom vocabulary is binary
-      only (mirroring what :func:`expand_equalities` does for ``=``).
-
-    Runs after :func:`expand_equalities` (which reduces n-ary ``=`` and
-    ``distinct`` to binary equalities first).
-    """
-    return _expand_bottom_up(term, memo, _arithmetic_rule)
-
-
-def _arithmetic_rule(term: Apply, args: tuple[Term, ...]) -> Term:
-    if (
-        term.op == "="
-        and len(args) == 2
-        and args[0].sort in (INT, REAL)
-        and difference_form(args[0], args[1]) is not None
-    ):
-        return Apply(
-            "and",
-            (Apply("<=", args, BOOL), Apply(">=", args, BOOL)),
-            BOOL,
-        )
-    if term.op in ("<", "<=", ">", ">=") and len(args) > 2:
-        pairs = tuple(
-            Apply(term.op, (left, right), BOOL)
-            for left, right in zip(args, args[1:])
-        )
-        return Apply("and", pairs, BOOL)
-    return _rebuild(term, args)
-
-
-def expand_equalities(term: Term, memo: dict[Term, Term]) -> Term:
-    """Rewrite n-ary ``=``/``distinct`` over non-boolean arguments into
-    boolean structure over *binary* equalities.
-
-    ``(= a b c)`` becomes ``(and (= a b) (= b c))``; ``(distinct a b c)``
-    becomes the conjunction of ``(not (= x y))`` over all pairs; binary
-    ``distinct`` becomes a single negated equality.  Logically equivalent
-    in every theory, and it normalizes the atom vocabulary so the EUF
-    plugin only handles binary equalities.
-    """
-    return _expand_bottom_up(term, memo, _equality_rule)
-
-
-def _equality_rule(term: Apply, args: tuple[Term, ...]) -> Term:
+def _normalize_atom(term: Apply, args: tuple[Term, ...]) -> Term:
+    """Rebuild ``term`` over its prepared ``args``, splitting non-boolean
+    n-ary ``=`` and ``distinct`` into binary equalities first, then
+    applying the arithmetic rule to each."""
     if (
         term.op in ("=", "distinct")
         and args
@@ -289,24 +174,35 @@ def _equality_rule(term: Apply, args: tuple[Term, ...]) -> Term:
         and (len(args) > 2 or term.op == "distinct")
     ):
         if term.op == "=":
-            parts = [
-                Apply("=", (left, right), BOOL)
-                for left, right in zip(args, args[1:])
-            ]
+            parts = [_arithmetic_rule(Apply("=", pair, BOOL)) for pair in zip(args, args[1:])]
         else:
             parts = [
-                negate(Apply("=", (args[i], args[j]), BOOL))
+                negate(_arithmetic_rule(Apply("=", (args[i], args[j]), BOOL)))
                 for i in range(len(args))
                 for j in range(i + 1, len(args))
             ]
         return parts[0] if len(parts) == 1 else Apply("and", tuple(parts), BOOL)
-    return _rebuild(term, args)
+    if args != term.args:
+        term = Apply(term.op, args, term.sort, term.indices)
+    return _arithmetic_rule(term)
 
 
-__all__ = [
-    "Frame",
-    "inline_definitions",
-    "expand_lets",
-    "expand_equalities",
-    "expand_arithmetic",
-]
+def _arithmetic_rule(term: Apply) -> Term:
+    """A linear Int/Real ``=`` becomes ``(and (<= a b) (>= a b))`` and a
+    chained comparison the conjunction of its adjacent pairs; anything
+    else (non-linear equalities stay for EUF) is returned as-is."""
+    args = term.args
+    if (
+        term.op == "="
+        and len(args) == 2
+        and args[0].sort in (INT, REAL)
+        and difference_form(args[0], args[1]) is not None
+    ):
+        return Apply("and", (Apply("<=", args, BOOL), Apply(">=", args, BOOL)), BOOL)
+    if term.op in ("<", "<=", ">", ">=") and len(args) > 2:
+        pairs = tuple(Apply(term.op, pair, BOOL) for pair in zip(args, args[1:]))
+        return Apply("and", pairs, BOOL)
+    return term
+
+
+__all__ = ["Frame", "prepare_term"]

@@ -105,13 +105,7 @@ from ..theory import (
     TheoryComposite,
 )
 from .atoms import AtomRegistry
-from .context import (
-    Frame,
-    expand_arithmetic,
-    expand_equalities,
-    expand_lets,
-    inline_definitions,
-)
+from .context import Frame, prepare_term
 from .result import CheckSatResult, ScriptResult
 
 
@@ -499,21 +493,15 @@ class Engine:
         self._solver.add_clause(clause)
 
     def _prepare_frames(self) -> None:
-        """Inline/expand/simplify assertions added since the last check."""
+        """Prepare and simplify assertions added since the last check."""
         definitions: dict[str, DefineFun] = {}
         for frame in self._frames:
             definitions.update(frame.definitions)
-        inline_memo: dict[tuple[Term, frozenset[str]], Term] = {}
-        let_memo: dict[Term, Term] = {}
-        eq_memo: dict[Term, Term] = {}
-        arith_memo: dict[Term, Term] = {}
+        memo: dict[Term, Term] = {}
         for frame in self._frames:
             while len(frame.prepared) < len(frame.assertions):
                 term = frame.assertions[len(frame.prepared)]
-                term = inline_definitions(term, definitions, frozenset(), inline_memo)
-                term = expand_lets(term, let_memo)
-                term = expand_equalities(term, eq_memo)
-                term = expand_arithmetic(term, arith_memo)
+                term = prepare_term(term, definitions, memo)
                 frame.prepared.append(term)
                 with trace_span("simplify", merge=True):
                     frame.simplified.append(simplify(term))
@@ -601,7 +589,7 @@ class Engine:
                     and not node.indices
                     and node.op in ("select", "store")
                 )
-                for node in atom.walk()
+                for node in atom.nodes()
             )
             self._array_atom_memo[atom] = cached
         return cached
@@ -908,7 +896,7 @@ class Engine:
         if "select" not in fun_interps:
             for frame in self._frames:
                 for term in frame.prepared:
-                    for node in term.walk():
+                    for node in term.nodes():
                         if (
                             isinstance(node, Apply)
                             and node.op == "select"
@@ -1027,14 +1015,10 @@ class Engine:
         definitions: dict[str, DefineFun] = {}
         for frame in self._frames:
             definitions.update(frame.definitions)
-        inline_memo: dict[tuple[Term, frozenset[str]], Term] = {}
-        let_memo: dict[Term, Term] = {}
+        memo: dict[Term, Term] = {}
         pairs = []
         for term in terms:
-            prepared = expand_lets(
-                inline_definitions(term, definitions, frozenset(), inline_memo),
-                let_memo,
-            )
+            prepared = prepare_term(term, definitions, memo)
             try:
                 value = evaluate(prepared, self._last.model, self._last.fun_interps)
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed

@@ -137,12 +137,26 @@ class Term:
     def walk(self) -> Iterator["Term"]:
         """Yield this node and every descendant, pre-order.
 
-        Shared subterms are yielded once per *occurrence* (tree view); use
-        :meth:`dag_size` or a visited set for the DAG view.
+        Shared subterms are yielded once per *occurrence* (tree view),
+        which is exponential on a DAG that reuses its subterms; use
+        :meth:`nodes` for the DAG view.
         """
         stack = [self]
         while stack:
             node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
+
+    def nodes(self) -> Iterator["Term"]:
+        """Yield each *distinct* node once, in the order of its first
+        occurrence in :meth:`walk` (linear in the DAG size)."""
+        seen: set[Term] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
             yield node
             stack.extend(reversed(node.children()))
 
@@ -156,15 +170,7 @@ class Term:
         With hash-consing, structurally equal subterms are one object, so
         this counts unique objects — the real memory footprint.
         """
-        seen: set[Term] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(node.children())
-        return len(seen)
+        return sum(1 for _ in self.nodes())
 
     def depth(self) -> int:
         """Height of the term tree (a leaf has depth 1)."""

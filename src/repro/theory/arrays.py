@@ -167,7 +167,10 @@ class ArraysTheory(EufTheory):
         provenance: tuple[tuple[Term, bool], ...],
     ) -> None:
         """Assert an axiom instance as if it were a trail literal, tagging
-        it with the external literals that justify it."""
+        it with the external literals that justify it.  The tag is
+        undone on backtrack: a stale one would later rewrite the same
+        literal, asserted by the SAT core, into a tautological clause."""
+        self._save(self._provenance, (atom, positive))
         self._provenance[(atom, positive)] = provenance
         if (
             isinstance(atom, Apply)

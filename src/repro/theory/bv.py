@@ -147,7 +147,7 @@ class BvBlaster:
 
     @staticmethod
     def _mentions_bitvec(atom: Term) -> bool:
-        return any(is_bitvec(node.sort) for node in atom.walk())
+        return any(is_bitvec(node.sort) for node in atom.nodes())
 
     def _try_blast(self, atom: Term) -> Optional[Term]:
         if not isinstance(atom, Apply) or atom.indices:

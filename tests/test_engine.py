@@ -10,8 +10,11 @@ Two acceptance properties from the issue are enforced here:
 """
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -367,6 +370,31 @@ class TestDefinitions:
         )[0]
         assert result.answer == "sat"
 
+    def test_parameter_shadows_nullary_definition(self):
+        # Inside ``f`` the parameter ``c`` hides the definition ``c``.
+        result = run_script(
+            "(define-fun c () Int 5) (define-fun f ((c Int)) Int c)"
+            "(assert (= (f 3) 3)) (check-sat) (get-value ((f 3)))",
+            produce_proofs=True,
+        )
+        assert result.output == ["sat", "(((f 3) 3))"]
+
+    def test_let_in_body_shadows_definition(self):
+        result = run_script(
+            "(define-fun c () Int 5)"
+            "(define-fun f ((x Int)) Int (let ((c (+ x 1))) (* 2 c)))"
+            "(assert (= (f 3) 8)) (assert (= c 5)) (check-sat) (get-value ((f 3) c))"
+        )
+        assert result.output == ["sat", "(((f 3) 8) (c 5))"]
+
+    def test_quantifier_binder_shadows_definition(self):
+        # Inlining the bound ``c`` would make this (= 5 7): a wrong unsat.
+        result = solve_script(
+            "(define-fun c () Int 5) (assert (exists ((c Int)) (= c 7))) (check-sat)"
+        )[0]
+        assert result.answer == "unknown"
+        assert result.reason == "abstracted-atoms"
+
     def test_definition_scoping_respects_pop(self):
         answers = solve_script(
             """
@@ -506,6 +534,31 @@ class TestCli:
         status, out, _ = self.run_cli(capsys, str(path), "--stats")
         assert status == 0
         assert "; check-sat #0: sat" in out
+
+    def test_doubling_let_chain_answers_within_budget(self, tmp_path):
+        """Each ``let`` doubles the tree size of the next one: 2^24 nodes
+        as a tree, 50 as a DAG.  Every pass of a check must stay linear
+        in the DAG, so the answer comes well inside the wall limit."""
+        depth = 24
+        lets = "(let ((a0 x)) " + "".join(
+            f"(let ((a{k} (and a{k - 1} (or a{k - 1} y)))) " for k in range(1, depth)
+        )
+        path = tmp_path / "doubling.smt2"
+        path.write_text(
+            "(declare-const x Bool)(declare-const y Bool)"
+            f"(assert {lets}a{depth - 1}{')' * depth})(check-sat)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--timeout", "1", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "sat\n"
 
     def test_parse_error_sets_status(self, capsys, tmp_path):
         path = tmp_path / "bad.smt2"

@@ -16,7 +16,7 @@ Three layers of assurance:
 
 import pytest
 
-from repro import run_script, solve_script
+from repro import Engine, run_script, solve_script
 from repro.proof import check_proof
 from repro.smtlib import (
     BOOL,
@@ -25,6 +25,7 @@ from repro.smtlib import (
     Symbol,
     array_sort,
     int_const,
+    parse_script,
     uninterpreted_sort,
 )
 from repro.theory import ArraysState, ArraysTheory
@@ -142,6 +143,32 @@ class TestPlugin:
         assert t.assert_literal(atom, False) is not None
         t.pop()
         assert t.check() is None
+
+    def test_popped_provenance_does_not_rewrite_trail_literal(self):
+        """An internal literal's provenance dies with its level: once the
+        SAT core asserts that literal itself, a conflict must name it
+        as-is, not rewrite it into a clause with a complementary pair."""
+        state = ArraysState()
+        t = ArraysTheory(state=state)
+        a, b = sym("a", AII), sym("b", AII)
+        arrays_eq = eq(a, b)
+        t.push()
+        # Extensionality asserts (select a w) != (select b w) internally,
+        # justified by a != b.
+        assert t.assert_literal(arrays_eq, False) is None
+        witness = state.witnesses[arrays_eq]
+        reads_eq = eq(select(a, witness), select(b, witness))
+        t.pop()
+        t.push()
+        assert t.assert_literal(arrays_eq, True) is None
+        t.push()
+        conflict = t.assert_literal(reads_eq, False)
+        if conflict is None:
+            conflict = t.check()
+        assert conflict is not None
+        literals = set(conflict.literals)
+        assert not any((atom, not positive) in literals for atom, positive in literals)
+        assert literals == {(arrays_eq, True), (reads_eq, False)}
 
     def test_model_hides_witnesses(self):
         from repro.theory import SortValueAllocator
@@ -324,6 +351,33 @@ class TestEngine:
             "(check-sat)"
         )
         assert checks[0].answer in ("unsat", "unknown")
+
+    def test_stale_provenance_livelock_is_gone(self):
+        """A seeded fuzz script (expected ``sat``/``sat``/``sat``) whose
+        first check once spun in thousands of arrays conflicts, each
+        rewritten into a tautology the SAT core dropped, until the
+        timeout hit every check."""
+        script = parse_script(
+            "(set-logic QF_AX)(declare-sort X 0)(declare-sort V 0)"
+            "(declare-const a (Array X V))(declare-const i X)(declare-const j X)"
+            "(declare-const v V)(declare-const w V)"
+            "(assert (and (and (=> (= (select (store a i v) i) w) (= i j)) (not (= i j))"
+            " (not (= i j))) (or (and (= v w) (= i j) (= (select (store a j w) j) (select a i)))"
+            " (=> (= v w) (= (store a j (select a i)) a))) (=> (or (= (store (store a j w) j w) a)"
+            " (= (select (store (store a j w) j w) j) w) (= (store (store a i w) j (select a i))"
+            " (store a i v))) (=> (= v w) (= (store a i (select a i)) a)))))"
+            "(check-sat)"
+            "(push 1)(assert (ite (= (store (store a j v) i w) (store a i v)) (= (select a i) v)"
+            " (= (select (store a j (select a i)) i) (select a j))))(check-sat)(pop 1)"
+            "(push 1)(assert (= (select (store a i v) j) (select a j)))(check-sat)(pop 1)"
+        )
+        checks = Engine(timeout=5).run(script).check_results
+        assert len(checks) == 3
+        assert [check.reason for check in checks if check.reason == "timeout"] == []
+        # Never a wrong answer: the open model-validation gap may still
+        # demote a check to unknown.
+        assert all(check.answer in ("sat", "unknown") for check in checks)
+        assert checks[0].answer == "sat"
 
     def test_get_model_prints_cleanly(self):
         result = run_script(
