@@ -8,8 +8,12 @@ pipeline end to end:
   refutation with proof logging off and on: the pair bounds the
   logging overhead on a learning-heavy unsat search.
 * ``pigeonhole_check`` — replaying the logged proof through the
-  independent RUP/DRAT checker (counting-based propagation, shared
-  with nothing in the solver): checker throughput on a real proof.
+  independent RUP/DRAT checker (two-watched-literal propagation over
+  its own data structures, sharing no code with the solver): checker
+  throughput on a real proof.  Its ``checker`` block (clauses,
+  deletions, RUP tests, propagations) is gated exactly, and
+  ``us_per_check_propagation`` — check µs per checker assignment — is
+  the checker's unit cost.
 * ``random_3sat_logged`` — fixed-seed phase-transition 3-SAT with
   logging on; every unsat instance's proof is checked, so the row
   carries both solve and check time on mixed verdicts.
@@ -43,7 +47,14 @@ MODE_SIZES = {
     "smoke": (4, 35, 20),
     "full": (6, 100, 200),
 }
-COLUMNS = [("workload", 20), ("n", 6), ("answer", 16), ("proof.steps", 8), ("seconds", 0)]
+COLUMNS = [
+    ("workload", 20),
+    ("n", 6),
+    ("answer", 16),
+    ("proof.steps", 8),
+    ("us_per_check_propagation", 8),
+    ("seconds", 0),
+]
 
 
 def named_core_script(width: int) -> str:
@@ -107,6 +118,9 @@ def run_pigeonhole(holes: int) -> list[dict]:
             "n": holes,
             "answer": "certified" if verdict.ok else "REJECTED",
             "checker": verdict.stats,
+            "us_per_check_propagation": round(
+                check_s * 1e6 / max(1, verdict.stats["propagations"]), 3
+            ),
             "seconds": {"check": round(check_s, 6)},
         },
     ]

@@ -17,10 +17,11 @@ The gate compares like with like, and fails (exit 1) when
   clamped first, so micro-workloads cannot trip the gate on scheduler
   jitter;
 * any deterministic counter of a shared workload differs from the
-  baseline at all: the ``solver`` block and the integer ``intern``
-  counters.  Counters are identical from run to run, so a difference
-  means the search or the term core changed; a deliberate change is
-  recorded by re-recording the baseline.
+  baseline at all: the ``solver`` block, the proof checker's
+  ``checker`` block and the integer ``intern`` counters.  Counters are
+  identical from run to run, so a difference means the search, the
+  checker's propagation or the term core changed; a deliberate change
+  is recorded by re-recording the baseline.
 
 Workloads present on one side only are reported but do not fail, so
 adding a workload never needs a lockstep baseline update.  A workload
@@ -49,11 +50,13 @@ SPEEDUP = 2.0
 
 def counters(row: dict) -> dict[str, int]:
     """The deterministic counters of a workload row: its ``solver`` block
-    plus the integer ``intern`` entries (``hit_rate`` is derived)."""
+    plus the integer ``checker`` and ``intern`` entries (``hit_rate`` is
+    derived)."""
     out = {key: value for key, value in (row.get("solver") or {}).items() if isinstance(value, int)}
-    for key, value in (row.get("intern") or {}).items():
-        if isinstance(value, int):
-            out[f"intern.{key}"] = value
+    for block in ("checker", "intern"):
+        for key, value in (row.get(block) or {}).items():
+            if isinstance(value, int):
+                out[f"{block}.{key}"] = value
     return out
 
 

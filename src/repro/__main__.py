@@ -43,16 +43,21 @@ Certification flags:
   has several unsat answers).
 * ``--check-proofs`` turns proof production on and replays every
   ``unsat`` answer's proof through the independent RUP/DRAT checker; a
-  missing or rejected proof prints an error and fails the run.
+  missing or rejected proof prints an error and fails the run.  Under
+  ``--timeout`` the checks share the script's budget with the solve: a
+  check still running when it expires stops, prints ``proof check timed
+  out`` and fails the run the same way.
 
 Exit status: 0 on success, 1 when any file failed to read, parse or
-type-check (or ``--check-proofs`` rejected a proof), 2 when
+type-check (or ``--check-proofs`` rejected a proof or ran out of
+budget), 2 when
 ``--strict-status`` found a contradicted annotation.
 
 Parallelism and budgets:
 
-* ``--timeout SECS`` gives each script a wall-clock budget; expired
-  checks answer ``unknown`` with reason ``timeout``.
+* ``--timeout SECS`` gives each script a wall-clock budget, covering
+  its solve and its ``--check-proofs`` checks; expired checks answer
+  ``unknown`` with reason ``timeout``.
 * ``--portfolio N`` races N diversified solver configurations in worker
   processes, first definitive answer wins (losers are cancelled
   cooperatively); ``--share-clauses`` additionally broadcasts short
@@ -73,6 +78,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Any, Optional
 
@@ -89,7 +95,7 @@ from .obs import (
     set_current_tracer,
     trace_span,
 )
-from .proof import check_proof
+from .proof import CHECK_TIMED_OUT, check_proof
 from .smtlib import parse_script
 
 
@@ -111,8 +117,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         type=float,
         default=None,
         metavar="SECS",
-        help="wall-clock budget per script; expired checks answer unknown "
-        "with reason timeout",
+        help="wall-clock budget per script, proof checks included; expired "
+        "checks answer unknown with reason timeout",
     )
     parser.add_argument(
         "--portfolio",
@@ -220,6 +226,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 )
                 produce_proofs = args.proof is not None or args.check_proofs
                 outcome = None
+                # One budget covers the solve and the proof checks.
+                deadline = (
+                    time.monotonic() + args.timeout if args.timeout is not None else None
+                )
                 if racing:
                     outcome = solve_portfolio(
                         script,
@@ -271,11 +281,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                         status = 1
                         continue
                     if args.check_proofs:
-                        verdict = check_proof(check.proof)
+                        verdict = check_proof(check.proof, deadline=deadline)
                         if not verdict.ok:
+                            error = verdict.error or ""
+                            if not error.startswith(CHECK_TIMED_OUT):
+                                error = f"proof rejected: {error}"
                             print(
-                                f'(error "{path}: check-sat #{check_index} proof'
-                                f' rejected: {verdict.error}")',
+                                f'(error "{path}: check-sat #{check_index} {error}")',
                                 file=sys.stderr,
                             )
                             status = 1

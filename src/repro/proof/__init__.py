@@ -10,10 +10,13 @@ every live assertion; this package closes the asymmetry for ``unsat``:
   negation of the failed-assumption core when the check ran under
   assumptions).
 * :mod:`repro.proof.checker` — an **independent** forward RUP/DRAT
-  checker that shares no code with the solver's propagation loop: it
-  replays the proof with its own counting-based unit propagation and
-  accepts only when every RUP addition is derivable and the conclusion
-  follows.
+  checker: it replays the proof with its own two-watched-literal unit
+  propagation and accepts only when every RUP addition is derivable and
+  the conclusion follows.  Its independence rests on sharing no code
+  with :mod:`repro.sat` (it imports nothing from it) and on keeping its
+  own data structures — a list per clause, a literal-keyed watch dict
+  and a set of true literals — so a bug in the solver's propagation
+  cannot be mirrored in the audit of its proofs.
 
 The trusted base mirrors the SAT-competition convention: input clauses
 (the Tseitin encoding of the simplified assertions) are axioms, and
@@ -24,10 +27,11 @@ Everything else — every learned clause and the final conclusion — must
 pass reverse-unit-propagation over the accumulated formula.
 """
 
-from .checker import ProofCheckResult, check_proof
+from .checker import CHECK_TIMED_OUT, ProofCheckResult, check_proof
 from .log import Proof, ProofLog, ProofStep
 
 __all__ = [
+    "CHECK_TIMED_OUT",
     "Proof",
     "ProofLog",
     "ProofStep",

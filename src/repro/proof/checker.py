@@ -1,11 +1,14 @@
 """An independent forward RUP/DRAT proof checker.
 
-The checker re-derives nothing from the solver: it shares no code with
-the CDCL propagation loop (:mod:`repro.sat.solver` uses two-watched
-literals over mutable clause objects; this module uses counting-based
-unit propagation — per-clause false-literal counters over immutable
-tuples — with a trail for assumption rollback).  Its job is to *audit*
-the solver, so the implementations must be able to disagree.
+The checker re-derives nothing from the solver and shares no code with
+it: this module imports nothing from :mod:`repro.sat`.  Both propagate
+with two watched literals, but over separate data structures written
+separately.  The solver keeps clauses in a flat literal arena with
+literal-indexed watch arrays, blocker literals and dedicated binary
+watch lists; the checker keeps one Python list per clause, a
+literal-keyed ``watches`` dict of clause ids and the set of true
+literals.  Its job is to *audit* the solver, so the two implementations
+must be able to disagree.
 
 Checking replays the proof in order:
 
@@ -29,14 +32,24 @@ normally also the final ``rup`` step, so this is a cheap re-check).
 Whenever a clause is added while the formula already propagates to a
 contradiction, every later check passes trivially — sound, because the
 contradiction itself was reached by verified steps.
+
+:func:`check_proof` takes an optional ``deadline`` (a
+:func:`time.monotonic` value), tested once per RUP step.  A check that
+runs past it is rejected with an error starting with
+:data:`CHECK_TIMED_OUT`; a cut-short check never certifies.
 """
 
 from __future__ import annotations
 
+import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .log import DELETE, INPUT, LEMMA, RUP, Proof
+
+#: The start of the error of a check stopped by its deadline.
+CHECK_TIMED_OUT = "proof check timed out"
 
 
 @dataclass
@@ -60,19 +73,25 @@ class ProofCheckResult:
 
 
 class _Checker:
-    """Counting-based unit propagation over an add/delete clause set."""
+    """Two-watched-literal unit propagation over an add/delete clause set.
+
+    Every clause of two or more literals that is neither tautological nor
+    added after the contradiction watches its first two positions.  At
+    the permanent propagation fixpoint a false watch implies a true
+    partner; a RUP test assigns a temporary suffix of the trail and
+    :meth:`_undo_to` only unassigns it, because watches that moved during
+    the test stay valid once their literals are unassigned again."""
 
     def __init__(self) -> None:
-        #: Clause id → deduped literal tuple; ``None`` once deleted.
-        self._clauses: list[Optional[tuple[int, ...]]] = []
-        #: Literal → ids of active-or-deleted clauses containing it.
-        self._occ: dict[int, list[int]] = {}
-        #: Clause id → number of false literals under the current assignment.
-        self._false: list[int] = []
-        #: Variable → +1 (true) / -1 (false); unassigned variables absent.
-        self._value: dict[int, int] = {}
-        #: Assigned literals in assignment order (permanent prefix + the
-        #: temporary suffix of the RUP check in flight).
+        #: Clause id → deduped literal list, watches in positions 0 and 1;
+        #: ``None`` once deleted (and dropped from watch lists lazily).
+        self._clauses: list[Optional[list[int]]] = []
+        #: Literal → ids of the clauses watching it.
+        self._watches: defaultdict[int, list[int]] = defaultdict(list)
+        #: The literals currently true.
+        self._true: set[int] = set()
+        #: ``_true`` in assignment order: the permanent prefix plus the
+        #: temporary suffix of the RUP test in flight.
         self._trail: list[int] = []
         #: Sorted-literal key → ids, for deletion matching.
         self._by_key: dict[tuple[int, ...], list[int]] = {}
@@ -88,63 +107,66 @@ class _Checker:
 
     # -- assignment ---------------------------------------------------------
 
-    def _lit_value(self, lit: int) -> int:
-        value = self._value.get(abs(lit), 0)
-        return value if lit > 0 else -value
+    def _assign(self, lit: int) -> None:
+        self._true.add(lit)
+        self._trail.append(lit)
 
-    def _propagate(self, pending: list[int]) -> bool:
-        """Assign the pending literals and unit-propagate to fixpoint.
+    def _propagate(self, mark: int) -> bool:
+        """Unit-propagate the literals assigned from trail position
+        ``mark`` on to fixpoint, counting every assignment from ``mark``.
         Returns ``True`` on conflict.  Assignments stay on the trail for
-        the caller to keep (permanent) or roll back (RUP check)."""
-        index = 0
-        while index < len(pending):
-            lit = pending[index]
-            index += 1
-            value = self._lit_value(lit)
-            if value == 1:
+        the caller to keep (permanent) or roll back (RUP test)."""
+        clauses = self._clauses
+        watches = self._watches
+        true = self._true
+        trail = self._trail
+        head = mark
+        conflict = False
+        while head < len(trail) and not conflict:
+            false_lit = -trail[head]
+            head += 1
+            watchers = watches.get(false_lit)
+            if not watchers:
                 continue
-            if value == -1:
-                return True
-            self._value[abs(lit)] = 1 if lit > 0 else -1
-            self._trail.append(lit)
-            self.stats["propagations"] += 1
-            occ = self._occ.get(-lit, ())
-            for pos, cid in enumerate(occ):
-                clause = self._clauses[cid]
+            kept = 0
+            for cid in watchers:
+                clause = clauses[cid]
                 if clause is None:
+                    continue  # deleted: leaves this watch list here
+                if conflict:
+                    watchers[kept] = cid
+                    kept += 1
                     continue
-                self._false[cid] += 1
-                if self._false[cid] < len(clause) - 1:
+                if clause[0] == false_lit:
+                    clause[0] = clause[1]
+                    clause[1] = false_lit
+                other = clause[0]
+                if other not in true:
+                    for index in range(2, len(clause)):
+                        lit = clause[index]
+                        if -lit not in true:
+                            clause[1] = lit
+                            clause[index] = false_lit
+                            watches[lit].append(cid)
+                            break
+                    else:
+                        if -other in true:
+                            conflict = True
+                        else:
+                            true.add(other)
+                            trail.append(other)
+                        watchers[kept] = cid
+                        kept += 1
                     continue
-                unassigned = None
-                satisfied = False
-                for other in clause:
-                    other_value = self._lit_value(other)
-                    if other_value == 1:
-                        satisfied = True
-                        break
-                    if other_value == 0:
-                        unassigned = other
-                if satisfied:
-                    continue
-                if unassigned is None:
-                    # Conflict.  ``lit`` stays on the trail, so finish its
-                    # counter sweep first — :meth:`_undo_to` decrements the
-                    # whole occurrence list and the counts must match.
-                    for rest in occ[pos + 1 :]:
-                        if self._clauses[rest] is not None:
-                            self._false[rest] += 1
-                    return True
-                pending.append(unassigned)
-        return False
+                watchers[kept] = cid
+                kept += 1
+            del watchers[kept:]
+        self.stats["propagations"] += len(trail) - mark
+        return conflict
 
     def _undo_to(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            lit = self._trail.pop()
-            del self._value[abs(lit)]
-            for cid in self._occ.get(-lit, ()):
-                if self._clauses[cid] is not None:
-                    self._false[cid] -= 1
+        self._true.difference_update(self._trail[mark:])
+        del self._trail[mark:]
 
     # -- the RUP test -------------------------------------------------------
 
@@ -157,8 +179,14 @@ class _Checker:
         if tautology:
             return True
         self.stats["rup_checked"] += 1
+        true = self._true
+        if any(lit in true for lit in deduped):
+            return True  # its negation is falsified outright
         mark = len(self._trail)
-        conflict = self._propagate([-lit for lit in deduped])
+        for lit in deduped:
+            if -lit not in true:
+                self._assign(-lit)
+        conflict = self._propagate(mark)
         self._undo_to(mark)
         return conflict
 
@@ -168,38 +196,26 @@ class _Checker:
         """Attach a clause and propagate any permanent consequence."""
         deduped, tautology = _dedupe(lits)
         cid = len(self._clauses)
-        self._clauses.append(deduped)
-        self._false.append(0)
+        true = self._true
+        # True literals first, then free ones, then false ones: the first
+        # two positions are the watches.
+        clause = sorted(deduped, key=lambda lit: 0 if lit in true else 2 if -lit in true else 1)
+        self._clauses.append(clause)
         self._by_key.setdefault(tuple(sorted(deduped)), []).append(cid)
         self.stats["lemmas" if lemma else "clauses"] += 1
-        false_count = 0
-        for lit in deduped:
-            self._occ.setdefault(lit, []).append(cid)
-            if self._lit_value(lit) == -1:
-                false_count += 1
-        self._false[cid] = false_count
         if self.contradiction or tautology:
             return
-        if not deduped:
-            self.contradiction = True
+        if not clause or -clause[0] in true:
+            self.contradiction = True  # empty, or every literal false
             return
-        unassigned = None
-        satisfied = False
-        for lit in deduped:
-            value = self._lit_value(lit)
-            if value == 1:
-                satisfied = True
-                break
-            if value == 0:
-                if unassigned is not None:
-                    return  # two free literals: nothing to propagate yet
-                unassigned = lit
-        if satisfied:
-            return
-        if unassigned is None:
-            self.contradiction = True
-            return
-        if self._propagate([unassigned]):
+        if len(clause) > 1:
+            self._watches[clause[0]].append(cid)
+            self._watches[clause[1]].append(cid)
+        if clause[0] in true or (len(clause) > 1 and -clause[1] not in true):
+            return  # satisfied, or two free literals: nothing to propagate
+        mark = len(self._trail)
+        self._assign(clause[0])
+        if self._propagate(mark):
             self.contradiction = True
 
     def delete(self, lits: Sequence[int]) -> bool:
@@ -237,8 +253,10 @@ def _dedupe(lits: Sequence[int]) -> tuple[tuple[int, ...], bool]:
     return tuple(out), tautology
 
 
-def check_proof(proof: Proof) -> ProofCheckResult:
-    """Replay ``proof`` and certify it (see the module docstring)."""
+def check_proof(proof: Proof, deadline: Optional[float] = None) -> ProofCheckResult:
+    """Replay ``proof`` and certify it (see the module docstring).
+    ``deadline`` is a :func:`time.monotonic` value tested before each
+    RUP step; past it the check stops and rejects."""
     checker = _Checker()
     for index, step in enumerate(proof.steps):
         if step.kind == INPUT:
@@ -246,6 +264,13 @@ def check_proof(proof: Proof) -> ProofCheckResult:
         elif step.kind == LEMMA:
             checker.add(step.lits, lemma=True)
         elif step.kind == RUP:
+            if deadline is not None and time.monotonic() >= deadline:
+                return ProofCheckResult(
+                    False,
+                    error=f"{CHECK_TIMED_OUT} at step {index} of {len(proof.steps)}",
+                    step_index=index,
+                    stats=checker.stats,
+                )
             if not checker.entails(step.lits):
                 return ProofCheckResult(
                     False,
@@ -279,4 +304,4 @@ def check_proof(proof: Proof) -> ProofCheckResult:
     return ProofCheckResult(True, stats=checker.stats)
 
 
-__all__ = ["ProofCheckResult", "check_proof"]
+__all__ = ["CHECK_TIMED_OUT", "ProofCheckResult", "check_proof"]

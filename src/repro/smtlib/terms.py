@@ -173,11 +173,24 @@ class Term:
         return sum(1 for _ in self.nodes())
 
     def depth(self) -> int:
-        """Height of the term tree (a leaf has depth 1)."""
-        kids = self.children()
-        if not kids:
-            return 1
-        return 1 + max(child.depth() for child in kids)
+        """Height of the term tree (a leaf has depth 1).
+
+        Each distinct node is measured once, with an explicit stack, so
+        the cost is linear in the DAG size however deep or shared."""
+        heights: dict[Term, int] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node in heights:
+                stack.pop()
+                continue
+            pending = [kid for kid in node.children() if kid not in heights]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            heights[node] = 1 + max((heights[kid] for kid in node.children()), default=0)
+        return heights[self]
 
     def free_symbols(self) -> dict[str, Sort]:
         """Free :class:`Symbol` occurrences, name → sort.
@@ -461,38 +474,48 @@ def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace free symbols by name according to ``mapping``.
 
     Bound occurrences (quantifier or ``let`` bindings) shadow the mapping.
+    Shared subterms are substituted once per mapping scope.
     """
-    return _substitute(term, dict(mapping))
+    return _substitute(term, dict(mapping), {})
 
 
-def _substitute(term: Term, mapping: dict[str, Term]) -> Term:
-    if not mapping:
+def _substitute(term: Term, mapping: dict[str, Term], memo: dict[Term, Term]) -> Term:
+    # ``memo`` belongs to ``mapping``; each shadowing binder starts a
+    # fresh one for its narrowed mapping.
+    if not mapping or isinstance(term, Constant):
         return term
-    if isinstance(term, Constant):
-        return term
+    cached = memo.get(term)
+    if cached is not None:
+        return cached
     if isinstance(term, Symbol):
-        return mapping.get(term.name, term)
-    if isinstance(term, Apply):
+        result = mapping.get(term.name, term)
+    elif isinstance(term, Apply):
         # Plain loop, not a genexpr, so deep chains substitute in linear time.
         rewritten = []
         for arg in term.args:
-            rewritten.append(_substitute(arg, mapping))
+            rewritten.append(_substitute(arg, mapping, memo))
         new_args = tuple(rewritten)
-        if new_args == term.args:
-            return term
-        return Apply(term.op, new_args, term.sort, term.indices)
-    if isinstance(term, Quantifier):
-        shadowed = {k: v for k, v in mapping.items() if k not in {n for n, _ in term.bindings}}
-        new_body = _substitute(term.body, shadowed)
-        if new_body is term.body:
-            return term
-        return Quantifier(term.kind, term.bindings, new_body)
-    if isinstance(term, Let):
-        new_bindings = tuple((name, _substitute(value, mapping)) for name, value in term.bindings)
-        shadowed = {k: v for k, v in mapping.items() if k not in {n for n, _ in term.bindings}}
-        new_body = _substitute(term.body, shadowed)
-        return Let(new_bindings, new_body)
-    raise TypeError(f"unknown term node: {term!r}")
+        result = (
+            term if new_args == term.args else Apply(term.op, new_args, term.sort, term.indices)
+        )
+    elif isinstance(term, Quantifier):
+        new_body = _substitute(term.body, _shadow(mapping, term.bindings), {})
+        result = term if new_body is term.body else Quantifier(term.kind, term.bindings, new_body)
+    elif isinstance(term, Let):
+        new_bindings = tuple(
+            (name, _substitute(value, mapping, memo)) for name, value in term.bindings
+        )
+        result = Let(new_bindings, _substitute(term.body, _shadow(mapping, term.bindings), {}))
+    else:
+        raise TypeError(f"unknown term node: {term!r}")
+    memo[term] = result
+    return result
+
+
+def _shadow(mapping: dict[str, Term], bindings: Sequence[tuple[str, object]]) -> dict[str, Term]:
+    """``mapping`` without the names a binder rebinds."""
+    bound = {name for name, _ in bindings}
+    return {name: value for name, value in mapping.items() if name not in bound}
 
 
 def negate(term: Term) -> Term:

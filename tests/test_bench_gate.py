@@ -3,9 +3,10 @@
 ``benchmarks/check_regression.py`` must refuse a baseline from another
 tier, a workload run at another size and a counter that moved at all,
 and must fail a wall-clock regression above its threshold.  Real
-``bench_sat``, ``bench_arith`` and ``bench_smt`` smoke runs, driven
-in-process through the shared harness, must pass the gate against the
-committed baselines, exact search counters included.
+``bench_sat``, ``bench_arith``, ``bench_smt`` and ``bench_proof`` smoke
+runs, driven in-process through the shared harness, must pass the gate
+against the committed baselines, exact search and checker counters
+included.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
 
 import bench_arith  # noqa: E402
+import bench_proof  # noqa: E402
 import bench_sat  # noqa: E402
 import bench_smt  # noqa: E402
 import check_regression  # noqa: E402
 import harness  # noqa: E402
 
 
-def payload(mode="smoke", n=4, seconds=0.01, conflicts=28, hits=120) -> dict:
+def payload(mode="smoke", n=4, seconds=0.01, conflicts=28, hits=120, rup=27) -> dict:
     return {
         "bench": "toy",
         "mode": mode,
@@ -37,6 +39,7 @@ def payload(mode="smoke", n=4, seconds=0.01, conflicts=28, hits=120) -> dict:
                 "n": n,
                 "answer": "unsat",
                 "solver": {"conflicts": conflicts, "decisions": 40},
+                "checker": {"rup_checked": rup, "propagations": 454},
                 "intern": {"hits": hits, "misses": 60, "hit_rate": 0.6667},
                 "seconds": {"encode": seconds / 2, "solve": seconds / 2},
             }
@@ -64,8 +67,9 @@ def test_identical_payloads_pass(tmp_path):
         (payload(n=5), "n differs: baseline 4, fresh 5"),
         (payload(conflicts=29), "pigeonhole.conflicts: baseline 28, fresh 29"),
         (payload(hits=121), "pigeonhole.intern.hits: baseline 120, fresh 121"),
+        (payload(rup=28), "pigeonhole.checker.rup_checked: baseline 27, fresh 28"),
     ],
-    ids=["mode", "n", "solver-counter", "intern-counter"],
+    ids=["mode", "n", "solver-counter", "intern-counter", "checker-counter"],
 )
 def test_mismatch_fails_naming_both_values(tmp_path, capsys, fresh, message):
     assert gate(tmp_path, fresh, payload()) == 1
@@ -102,8 +106,18 @@ def test_missing_fresh_result_for_discovered_baseline_fails(tmp_path, monkeypatc
         (bench_sat, ["pigeonhole", "random_3sat", "xor_chain_sat", "xor_chain_unsat"]),
         (bench_arith, ["dense_simplex", "sparse_simplex", "branch_bound", "diamond_lra"]),
         (bench_smt, ["euf_orbit", "euf_pigeonhole", "euf_model", "incremental"]),
+        (
+            bench_proof,
+            [
+                "pigeonhole_plain",
+                "pigeonhole_logged",
+                "pigeonhole_check",
+                "random_3sat_logged",
+                "engine_unsat_core",
+            ],
+        ),
     ],
-    ids=["sat", "arith", "smt"],
+    ids=["sat", "arith", "smt", "proof"],
 )
 def test_bench_smoke_passes_gate_against_committed_baseline(tmp_path, suite, names):
     bench = suite.__name__.removeprefix("bench_")

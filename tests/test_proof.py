@@ -13,20 +13,28 @@ Three layers under test:
   EUF, LIA, trivially-false, incremental push/pop) carry certified
   proofs with theory-lemma provenance, and the option plumbing
   (``produce_proofs=``, ``(set-option :produce-proofs true)``, late
-  enabling) behaves as documented.
+  enabling) behaves as documented;
+* the checker's deadline, directly and through ``--timeout``, and the
+  checker against a naive rescan-to-fixpoint oracle on every step of
+  logged and mutated solver proofs.
 
 The checker shares no propagation code with the solver, so these tests
 are a genuine cross-check, not a tautology.
 """
 
+import ast
+import math
 import random
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro import run_script, solve_script
 from repro.engine import Engine
 from repro.errors import SolverError
-from repro.proof import Proof, ProofLog, ProofStep, check_proof
+from repro.proof import CHECK_TIMED_OUT, Proof, ProofLog, ProofStep, check_proof
 from repro.proof.log import DELETE, INPUT, LEMMA, RUP
 from repro.sat import SAT, Solver, UNSAT
 from repro.smtlib import parse_script
@@ -455,3 +463,202 @@ class TestEngineProofs:
             set_current_tracer(previous)
         paths = set(phase_totals(obs.tracer))
         assert any(path.endswith("proof") for path in paths), paths
+
+
+# ---------------------------------------------------------------------------
+# The checker's deadline.
+# ---------------------------------------------------------------------------
+
+
+class TestCheckerDeadline:
+    PROOF = proof_of(
+        *inputs((1, 2), (-1, 2), (1, -2), (-1, -2)),
+        ProofStep(RUP, (2,)),
+        ProofStep(RUP, ()),
+        conclusion=(),
+    )
+
+    def test_expired_deadline_rejects_at_the_first_rup_step(self):
+        result = check_proof(self.PROOF, deadline=time.monotonic() - 1.0)
+        assert not result.ok
+        assert result.step_index == 4
+        assert result.error.startswith(CHECK_TIMED_OUT)
+        assert result.stats["rup_checked"] == 0
+
+    def test_open_deadline_certifies(self):
+        assert check_proof(self.PROOF, deadline=time.monotonic() + 60.0).ok
+
+    def run_cli(self, capsys, tmp_path, *flags):
+        from repro.__main__ import main
+
+        path = tmp_path / "unsat.smt2"
+        path.write_text(PROP_UNSAT)
+        status = main([str(path), "--check-proofs", *flags])
+        captured = capsys.readouterr()
+        return path, status, captured.out, captured.err
+
+    def test_cli_checks_within_the_budget(self, capsys, tmp_path):
+        _, status, out, err = self.run_cli(capsys, tmp_path, "--timeout", "60")
+        assert (status, out, err) == (0, "unsat\n", "")
+
+    def test_cli_check_past_the_budget_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        # The solve finishes within --timeout; the checker's clock then
+        # reads past the deadline, as a check that outlives the budget.
+        import repro.proof.checker as checker_module
+
+        monkeypatch.setattr(checker_module, "time", SimpleNamespace(monotonic=lambda: math.inf))
+        path, status, out, err = self.run_cli(capsys, tmp_path, "--timeout", "60")
+        assert status == 1
+        assert out == "unsat\n"
+        assert err.startswith(f'(error "{path}: check-sat #0 proof check timed out at step ')
+        assert "rejected" not in err
+
+    def test_cli_without_timeout_has_no_deadline(self, capsys, tmp_path, monkeypatch):
+        import repro.proof.checker as checker_module
+
+        monkeypatch.setattr(checker_module, "time", SimpleNamespace(monotonic=lambda: math.inf))
+        _, status, _, err = self.run_cli(capsys, tmp_path)
+        assert (status, err) == (0, "")
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the checker against a naive oracle.
+# ---------------------------------------------------------------------------
+
+
+def oracle_verdicts(proof):
+    """``(ok, step_index)`` of every prefix of ``proof`` concluding the
+    empty clause, then of ``proof`` itself, by brute force: unit
+    propagation rescans every active clause to a fixpoint, with the
+    checker's step semantics (deletion never retracts permanent units)."""
+    active, fixed, contradiction = [], set(), False
+
+    def propagate(assigned):
+        assigned, changed = set(assigned), True
+        while changed:
+            changed = False
+            for clause in active:
+                if not any(lit in assigned for lit in clause):
+                    free = [lit for lit in clause if -lit not in assigned]
+                    if not free:
+                        return None
+                    if len(free) == 1:
+                        assigned.add(free[0])
+                        changed = True
+        return assigned
+
+    def entails(clause):
+        assumed = fixed | {-lit for lit in clause}
+        if contradiction or any(-lit in assumed for lit in assumed):
+            return True
+        return propagate(assumed) is None
+
+    verdicts = [(entails(()), None)]
+    for index, step in enumerate(proof.steps):
+        lits = set(step.lits)
+        if step.kind == DELETE and len(lits) > 1 and lits in active:
+            active.remove(lits)
+        elif (step.kind == RUP and not entails(lits)) or (step.kind == DELETE and len(lits) > 1):
+            return verdicts + [(False, index)] * (len(proof.steps) - index + 1)
+        elif step.kind != DELETE:
+            active.append(lits)
+            if not contradiction:
+                result = propagate(fixed)
+                contradiction = result is None
+                fixed = result or fixed
+        verdicts.append((entails(()), None))
+    return verdicts + [(entails(proof.conclusion), None)]
+
+
+def solver_proofs(seed, count):
+    """Logged proofs of seeded random CNFs over at most 10 variables:
+    unsat answers conclude ``()``, sat answers replay their log only."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        num_vars = rng.randint(4, 10)
+        # Mostly three literals per clause, so refutations need learned
+        # clauses, after one unit that fixes a literal at the top level.
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), width)]
+            for width in [1] + [3] * rng.randint(4, 8) * num_vars
+        ]
+        solver = Solver()
+        solver.proof = ProofLog()
+        for clause in clauses:
+            solver.add_clause(clause)
+        conclusion = () if solver.solve() == UNSAT else TAUT
+        yield num_vars, solver.proof.snapshot(conclusion)
+
+
+def mutants(rng, num_vars, proof):
+    """``(kind, proof)`` mutants: a literal dropped from a RUP step, an
+    input clause deleted before a RUP step, a non-entailed RUP clause."""
+    steps = list(proof.steps)
+    rups = [i for i, step in enumerate(steps) if step.kind == RUP and step.lits]
+    wide = [step.lits for step in steps if step.kind == INPUT and len(set(step.lits)) > 1]
+
+    def variant(index, *inserted, drop=False):
+        return Proof(tuple(steps[:index] + list(inserted) + steps[index + drop :]), proof.conclusion)
+
+    for _ in range(3):
+        if rups:
+            at = rng.choice(rups)
+            lits = list(steps[at].lits)
+            del lits[rng.randrange(len(lits))]
+            yield "dropped-literal", variant(at, ProofStep(RUP, lits), drop=True)
+        for _ in range(10 if rups and wide else 0):
+            # Look for an input the RUP step after the deletion needs.
+            at = rng.choice(rups)
+            deleted = variant(at, ProofStep(DELETE, rng.choice(wide)))
+            if oracle_verdicts(Proof(deleted.steps[: at + 2], TAUT))[-1] == (False, at + 1):
+                yield "deleted-input", deleted
+                break
+        at = rng.randrange(len(steps))
+        for _ in range(5):
+            lits = [v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))]
+            forged = variant(at, ProofStep(RUP, lits))
+            if oracle_verdicts(Proof(forged.steps[: at + 1], TAUT))[-1] == (False, at):
+                yield "forged-rup", forged
+                break
+
+
+class TestCheckerDifferential:
+    def test_verdicts_match_the_naive_oracle_on_every_step(self):
+        rng = random.Random(20261018)
+        rejected = {"dropped-literal": 0, "deleted-input": 0, "forged-rup": 0}
+        compared = 0
+        for num_vars, proof in solver_proofs(20261018, 30):
+            cases = [("logged", proof), *mutants(rng, num_vars, proof)]
+            for kind, candidate in cases:
+                # Every prefix concludes the empty clause, so the verdict
+                # and the failing step must agree after each step.
+                expected = oracle_verdicts(candidate)
+                for end in range(len(candidate.steps) + 1):
+                    verdict = check_proof(Proof(candidate.steps[:end], ()))
+                    assert (verdict.ok, verdict.step_index) == expected[end], (kind, end)
+                    compared += 1
+                verdict = check_proof(candidate)
+                assert (verdict.ok, verdict.step_index) == expected[-1], kind
+                if kind == "logged":
+                    assert verdict.ok, verdict.error
+                elif not verdict.ok:
+                    rejected[kind] += 1
+        assert compared > 1000
+        # Each mutation class must actually produce rejections.
+        assert all(count >= 5 for count in rejected.values()), rejected
+
+    def test_checker_imports_nothing_from_the_solver(self):
+        import repro.proof.checker as checker_module
+
+        tree = ast.parse(Path(checker_module.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        assert imported, "the module must import something to check"
+        for name in imported:
+            assert not (name.startswith("repro.sat") or name.startswith("..sat")), name

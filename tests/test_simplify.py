@@ -1,6 +1,10 @@
 """Tests for the theory-aware simplifier: per-theory rewrite rules, sort
 preservation, the rewrite fixpoint, and `simplify_script` over the corpus."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -262,3 +266,37 @@ def test_flattening_is_capped_on_shared_dags():
     result = simplify(t)
     assert result.sort == INT
     assert simplify(result) is result
+
+
+def test_literal_let_over_a_doubling_dag_simplifies_within_budget():
+    """``simplify(Let((("c", 1),), t))`` where each level of ``t`` doubles
+    its tree size: 2^24 occurrences, 52 distinct nodes.  Substituting the
+    literal binding must visit each shared subterm once, so the run ends
+    well inside the wall limit, and the result evaluates like the input."""
+    program = textwrap.dedent(
+        """
+        from repro.smtlib import simplify
+        from repro.smtlib.evaluate import evaluate
+        from repro.smtlib.sorts import BOOL, INT
+        from repro.smtlib.terms import FALSE, TRUE, Apply, Let, Symbol, int_const
+
+        y = Symbol("y", BOOL)
+        t = Apply("<", (Symbol("x", INT), Symbol("c", INT)), BOOL)
+        for _ in range(24):
+            t = Apply("and", (t, Apply("or", (t, y), BOOL)), BOOL)
+        term = Let((("c", int_const(1)),), t)
+        result = simplify(term)
+        for x in (0, 1, 2):
+            for value in (TRUE, FALSE):
+                point = {"x": int_const(x), "y": value}
+                assert evaluate(result, point) is evaluate(term, point), (x, value)
+        print("ok")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    completed = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "ok\n"

@@ -1,6 +1,8 @@
 """Unit tests for the term AST, including printing of every node kind and
 the structure-sharing guarantee of ``replace_subterm``."""
 
+import random
+import time
 from fractions import Fraction
 
 from repro.smtlib.sorts import BOOL, INT, seq_sort
@@ -54,6 +56,38 @@ def test_walk_size_depth():
     assert [type(node).__name__ for node in PLUS.walk()] == ["Apply", "Symbol", "Symbol"]
 
 
+def doubling_chain(levels, leaf):
+    """``t_{k+1} = (and t_k (or t_k y))``: 2^levels occurrences as a tree,
+    2·levels + 1 distinct nodes besides the leaf's own as a DAG."""
+    term, y = leaf, Symbol("y", BOOL)
+    for _ in range(levels):
+        term = Apply("and", (term, Apply("or", (term, y), BOOL)), BOOL)
+    return term
+
+
+def test_depth_is_linear_on_shared_dags():
+    chain = doubling_chain(24, Symbol("p", BOOL))
+    started = time.perf_counter()
+    assert chain.depth() == 2 * 24 + 1
+    assert time.perf_counter() - started < 1.0
+
+
+def test_depth_matches_the_recursive_definition_on_random_terms():
+    def reference(term):
+        return 1 + max((reference(kid) for kid in term.children()), default=0)
+
+    rng = random.Random(20261018)
+    for _ in range(200):
+        pool = [Symbol(name, BOOL) for name in "pqr"] + [TRUE]
+        for _ in range(rng.randint(1, 12)):
+            op, arity = rng.choice((("not", 1), ("and", 2), ("or", 3), ("=>", 2)))
+            pool.append(Apply(op, tuple(rng.choice(pool) for _ in range(arity)), BOOL))
+        term = rng.choice(pool)
+        if rng.random() < 0.3:
+            term = Let((("q", rng.choice(pool)),), term)
+        assert term.depth() == reference(term)
+
+
 def test_free_symbols_respect_binders():
     quantifier = Quantifier("forall", (("x", INT),), LESS)
     assert quantifier.free_symbols() == {"y": INT}
@@ -66,6 +100,17 @@ def test_substitute_shadowing():
     assert str(replaced) == "(< 1 y)"
     quantifier = Quantifier("forall", (("x", INT),), LESS)
     assert substitute(quantifier, {"x": int_const(1)}) is quantifier
+
+
+def test_substitute_visits_shared_subterms_once():
+    chain = doubling_chain(20, Apply("<", (X, Symbol("c", INT)), BOOL))
+    started = time.perf_counter()
+    replaced = substitute(chain, {"c": int_const(1)})
+    assert time.perf_counter() - started < 1.0
+    assert replaced is doubling_chain(20, Apply("<", (X, int_const(1)), BOOL))
+    # Under a binder that rebinds ``c``, the body is left alone.
+    let = Let((("c", Y),), chain)
+    assert substitute(let, {"c": int_const(1)}).body is chain
 
 
 def test_replace_subterm_replaces_first_occurrence():
